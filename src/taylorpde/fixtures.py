@@ -76,10 +76,6 @@ TRANSPORT = _fixture(
 FIXTURES: dict[str, Fixture] = {f.name: f for f in (RICCATI, COUPLED, TRANSPORT)}
 
 
-def names() -> tuple[str, ...]:
-    return tuple(FIXTURES)
-
-
 def get(name: str) -> Fixture:
     try:
         return FIXTURES[name]

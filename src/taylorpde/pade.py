@@ -20,6 +20,7 @@ from .errors import (
     InsufficientCoefficientsError,
     PoleEvaluationError,
 )
+from .waves import partial_sum
 
 # Above this condition number the fitted denominator digits are noise.
 _COND_LIMIT = 1e12
@@ -38,8 +39,8 @@ class PadeApproximant:
         return (len(self.num) - 1, len(self.den) - 1)
 
     def __call__(self, t: float) -> float:
-        p = _horner(self.num, t)
-        q = _horner(self.den, t)
+        p = partial_sum(self.num, t)
+        q = partial_sum(self.den, t)
         if abs(q) <= 1e-300:
             raise PoleEvaluationError(f"denominator vanishes at t = {t!r}")
         return p / q
@@ -71,13 +72,6 @@ class PadeApproximant:
                 acc -= self.den[i] * out[k - i]
             out.append(acc)
         return out
-
-
-def _horner(coeffs: Sequence[float], t: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApproximant:

@@ -103,11 +103,7 @@ class ExperimentConfig:
     samples: int = 201
 
     def validate(self) -> None:
-        if self.fixture not in fixtures.names():
-            raise ConfigError(
-                f"unknown fixture '{self.fixture}'; expected one of "
-                f"{', '.join(fixtures.names())}"
-            )
+        fixtures.get(self.fixture)
         if not self.orders:
             raise ConfigError("at least one truncation order is required")
         if any(n < 1 for n in self.orders):

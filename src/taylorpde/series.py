@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import _backend
 from .errors import TruncationError
+from .waves import partial_sum
 
 _NUMBER = (int, float, Fraction)
 
@@ -51,10 +52,6 @@ class TanhPoly:
     @classmethod
     def zero(cls) -> TanhPoly:
         return cls([0.0])
-
-    @classmethod
-    def const(cls, value: int | float | Fraction) -> TanhPoly:
-        return cls([value])
 
     @property
     def coeffs(self) -> tuple[float, ...]:
@@ -124,11 +121,7 @@ class TanhPoly:
 
     def __call__(self, x: float) -> float:
         """Evaluate at w = tanh(x) by Horner's rule."""
-        w = math.tanh(x)
-        acc = 0.0
-        for c in reversed(self._coeffs):
-            acc = acc * w + c
-        return acc
+        return partial_sum(self._coeffs, math.tanh(x))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TanhPoly):
@@ -267,11 +260,13 @@ class TimeSeries:
         return TimeSeries(polys)
 
     def eval(self, x: float, t: float) -> float:
-        """Evaluate the truncated series at (x, t) by Horner's rule in t."""
-        acc = 0.0
-        for p in reversed(self._coeffs):
-            acc = acc * t + p(x)
-        return acc
+        """Evaluate the truncated series at (x, t) by Horner's rule in t.
+
+        tanh(x) is computed once and shared by every row; each row sum is
+        the same float sequence TanhPoly.__call__ runs.
+        """
+        w = math.tanh(x)
+        return partial_sum([partial_sum(p._coeffs, w) for p in self._coeffs], t)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TimeSeries):

@@ -85,7 +85,11 @@ def builtin_waves() -> tuple[TravelingWave, TravelingWave, TravelingWave]:
 
 
 def partial_sum(coeffs: Sequence[float], t: float) -> float:
-    """Evaluate a truncated scalar series at t by Horner's rule."""
+    """Evaluate a truncated scalar series at t by Horner's rule.
+
+    The package's one Horner loop: TanhPoly and TimeSeries (in w and in t)
+    and PadeApproximant (numerator and denominator) all evaluate through it.
+    """
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * t + c

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taylorpde import TanhPoly, TimeSeries, TruncationError
+from taylorpde import TanhPoly, TimeSeries, TruncationError, partial_sum
 
 
 class TestTanhPoly:
@@ -217,18 +217,32 @@ class TestTimeSeries:
         assert [p.coeffs[0] for p in (-s).coeffs] == [-1.0, 2.0]
 
 
-def test_series_eval_partial_sum_accuracy():
+_coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_coeff_lists = st.lists(_coeff, min_size=1, max_size=6)
+
+
+@given(
+    st.lists(_coeff_lists, min_size=1, max_size=6),
+    st.floats(min_value=-20.0, max_value=20.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_eval_is_partial_sum_bitwise(rows, x, t):
+    # TimeSeries.eval shares one tanh(x) across rows; it must give the very
+    # bits of evaluating each row on its own and summing in t.
+    s = TimeSeries(rows)
+    assert s.eval(x, t) == partial_sum([p(x) for p in s.coeffs], t)
+    for c in rows:
+        assert TanhPoly(c)(x) == partial_sum(c, math.tanh(x))
+
+
+def test_series_eval_partial_sum_accuracy(riccati, riccati15):
     # Numerically verified: the order-15 partial sum at t=0.1 (deep inside
     # the convergence disk at x=0) reproduces the closed form to about
-    # 2e-8; the first dropped term, c17*t^17, sets that floor.
-    from taylorpde import FIXTURES
-
-    wave = FIXTURES["riccati"].waves[0]
-    coeffs = wave.taylor(0.0, 15)
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * 0.1 + c
-    assert abs(total - math.tanh(-0.55)) < 1e-7
+    # 2e-8; the first dropped term, c17*t^17, sets that floor.  The scalar
+    # wave recurrence and the solved series must both reach it.
+    exact = math.tanh(-0.55)
+    assert abs(partial_sum(riccati.waves[0].taylor(0.0, 15), 0.1) - exact) < 1e-7
+    assert abs(riccati15.series[0].eval(0.0, 0.1) - exact) < 1e-7
 
 
 def test_series_mul_matches_numpy_convolution():
