@@ -23,7 +23,6 @@ from .errors import (
 from .fixtures import FIXTURES, Fixture
 from .pade import PadeApproximant, pade_fit
 from .report import (
-    ExperimentConfig,
     Table,
     divergence_figure,
     error_table,
@@ -44,7 +43,6 @@ __all__ = [
     "DegenerateWaveError",
     "DimensionMismatchError",
     "DuplicateEquationError",
-    "ExperimentConfig",
     "FIXTURES",
     "Fixture",
     "InsufficientCoefficientsError",

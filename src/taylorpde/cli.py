@@ -28,7 +28,6 @@ from .fixtures import FIXTURES
 from .fixtures import get as get_fixture
 from .report import (
     _FLOAT_FMT,
-    ExperimentConfig,
     divergence_figure,
     error_table,
     render_figure_svg,
@@ -68,7 +67,9 @@ def _parse_trange(text: str) -> tuple[float, ...]:
         raise ConfigError(f"--t range must be numeric, got {text!r}") from None
     if step <= 0 or stop < start:
         raise ConfigError("--t range needs step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    # Floor, so the range never runs past stop; the tolerance keeps a stop
+    # that lands on the grid despite rounding (0.1:0.5:0.1 gives 5 values).
+    count = int((stop - start) / step + 1e-9) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -128,13 +129,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    config = ExperimentConfig(
-        fixture=args.fixture,
-        orders=_parse_ints(args.orders, "--orders"),
-        xs=_parse_floats(args.x, "--x"),
-        ts=_parse_trange(args.t),
+    table = error_table(
+        args.fixture,
+        _parse_ints(args.orders, "--orders"),
+        _parse_floats(args.x, "--x"),
+        _parse_trange(args.t),
     )
-    table = error_table(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "error_table.csv"
@@ -150,15 +150,14 @@ def _cmd_figure(args) -> int:
         if len(orders) != 2:
             raise ConfigError(f"--pade expects L,M, got {args.pade!r}")
         pade = (orders[0], orders[1])
-    config = ExperimentConfig(
-        fixture=args.fixture,
-        orders=_parse_ints(args.orders, "--orders"),
-        xs=(args.x,),
+    table = divergence_figure(
+        args.fixture,
+        _parse_ints(args.orders, "--orders"),
+        x=args.x,
         pade=pade,
         t_max=args.t_max,
         samples=args.samples,
     )
-    table = divergence_figure(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "divergence.csv"
@@ -236,10 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, DimensionMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ConfigError, DimensionMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TaylorPdeError as exc:

@@ -1,6 +1,6 @@
 """Experiment tables and figures with byte-deterministic output.
 
-Everything here is a pure function of the configuration: rows are emitted
+Everything here is a pure function of its arguments: rows are emitted
 in sorted (field, x, t, order) order, floats are formatted with repr-exact
 precision ('.17g'), and files use '\n' endings, so re-running a command
 reproduces identical bytes.  CSV metadata lives in leading '# key: value'
@@ -9,13 +9,13 @@ comment lines and survives a parse round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import fixtures
 from .errors import ConfigError
 from .pade import pade_fit
 from .solver import solve
+from .waves import partial_sum
 
 _FLOAT_FMT = ".17g"
 
@@ -84,68 +84,44 @@ def from_csv(text: str) -> Table:
     return Table(columns, tuple(rows), tuple(meta))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Settings shared by the table and figure generators.
-
-    `orders` lists truncation orders to compare.  For tables, `xs` and
-    `ts` define the evaluation grid.  For figures, the first entry of
-    `xs` fixes the slice, `t_max`/`samples` define the sweep, and `pade`
-    optionally adds an [L/M] curve fitted to the longest solve.
-    """
-
-    fixture: str
-    orders: tuple[int, ...]
-    xs: tuple[float, ...] = ()
-    ts: tuple[float, ...] = ()
-    pade: tuple[int, int] | None = None
-    t_max: float = 0.5
-    samples: int = 201
-
-    def validate(self) -> None:
-        fixtures.get(self.fixture)
-        if not self.orders:
-            raise ConfigError("at least one truncation order is required")
-        if any(n < 1 for n in self.orders):
-            raise ConfigError("truncation orders must be at least 1")
-        if len(set(self.orders)) != len(self.orders):
-            raise ConfigError("truncation orders must be distinct")
-        if any(t < 0 for t in self.ts):
-            raise ConfigError("t values must be nonnegative")
-        if self.pade is not None:
-            L, M = self.pade
-            if L < 0 or M < 1:
-                raise ConfigError("pade orders must satisfy L >= 0 and M >= 1")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
-        if self.samples < 2:
-            raise ConfigError("samples must be at least 2")
+def _fixture_and_orders(fixture: str, orders) -> tuple[fixtures.Fixture, list[int]]:
+    """Look up the fixture and return the truncation orders sorted."""
+    fx = fixtures.get(fixture)
+    if not orders:
+        raise ConfigError("at least one truncation order is required")
+    if any(n < 1 for n in orders):
+        raise ConfigError("truncation orders must be at least 1")
+    if len(set(orders)) != len(orders):
+        raise ConfigError("truncation orders must be distinct")
+    return fx, sorted(orders)
 
 
-def error_table(config: ExperimentConfig) -> Table:
+def error_table(fixture: str, orders, xs, ts) -> Table:
     """Absolute error of truncated series against the exact waves.
 
     One row per (field, x, t, order), in that sort order; each row also
     carries the convergence radius at its x and the ratio t/R so rows
-    outside the disk of convergence are easy to filter.
+    outside the disk of convergence are easy to filter.  One solve at the
+    largest order supplies every truncation, since lower orders are its
+    prefixes.
     """
-    config.validate()
-    if not config.xs:
+    fx, orders = _fixture_and_orders(fixture, orders)
+    if any(t < 0 for t in ts):
+        raise ConfigError("t values must be nonnegative")
+    if not xs:
         raise ConfigError("error_table needs at least one x value")
-    if not config.ts:
+    if not ts:
         raise ConfigError("error_table needs at least one t value")
-    fx = fixtures.get(config.fixture)
-    orders = sorted(config.orders)
-    solutions = {n: solve(fx.system, fx.initial, n) for n in orders}
+    solution = solve(fx.system, fx.initial, orders[-1])
     rows = []
-    for idx, name in enumerate(fx.system.fields):
-        wave = fx.waves[idx]
-        for x in config.xs:
+    for name, series, wave in zip(fx.system.fields, solution.series, fx.waves):
+        for x in xs:
             radius = wave.convergence_radius(x)
-            for t in config.ts:
+            coeffs = [p(x) for p in series.coeffs]
+            for t in ts:
+                exact = wave(x, t)
                 for n in orders:
-                    approx = solutions[n].series[idx].eval(x, t)
-                    exact = wave(x, t)
+                    approx = partial_sum(coeffs[: n + 1], t)
                     rows.append(
                         (name, x, t, n, approx, exact, abs(approx - exact), radius, t / radius)
                     )
@@ -168,41 +144,49 @@ def error_table(config: ExperimentConfig) -> Table:
     return Table(columns, tuple(rows), meta)
 
 
-def divergence_figure(config: ExperimentConfig) -> Table:
+def divergence_figure(
+    fixture: str,
+    orders,
+    x: float = 0.0,
+    pade: tuple[int, int] | None = None,
+    t_max: float = 0.5,
+    samples: int = 201,
+) -> Table:
     """Sample truncated series of the first field along t at fixed x.
 
     Shows finite-radius divergence directly: every truncation leaves the
     exact curve near the convergence radius, and higher order makes the
-    departure more violent, not later.  With `pade` set, the rational
-    curve fitted to the same coefficients tracks the exact solution past
-    the radius.
+    departure more violent, not later.  With `pade` = (L, M), the [L/M]
+    rational curve fitted to the same coefficients tracks the exact
+    solution past the radius.  `samples` points span [0, t_max].
     """
-    config.validate()
-    fx = fixtures.get(config.fixture)
-    x = config.xs[0] if config.xs else 0.0
-    orders = sorted(config.orders)
+    fx, orders = _fixture_and_orders(fixture, orders)
     needed = orders[-1]
-    if config.pade is not None:
-        needed = max(needed, config.pade[0] + config.pade[1])
-    solution = solve(fx.system, fx.initial, needed)
-    series = solution.series[0]
+    if pade is not None:
+        L, M = pade
+        if L < 0 or M < 1:
+            raise ConfigError("pade orders must satisfy L >= 0 and M >= 1")
+        needed = max(needed, L + M)
+    if t_max <= 0:
+        raise ConfigError("t_max must be positive")
+    if samples < 2:
+        raise ConfigError("samples must be at least 2")
+    series = solve(fx.system, fx.initial, needed).series[0]
     wave = fx.waves[0]
     radius = wave.convergence_radius(x)
+    coeffs = [p(x) for p in series.coeffs]
 
-    prefixes = [series.truncate(n) for n in orders]
     columns = ["t", "exact"] + [f"T{n}" for n in orders]
     approximant = None
-    if config.pade is not None:
-        L, M = config.pade
-        scalar = [p(x) for p in series.coeffs[: L + M + 1]]
-        approximant = pade_fit(scalar, L, M)
+    if pade is not None:
+        approximant = pade_fit(coeffs[: L + M + 1], L, M)
         columns.append(f"pade[{L}/{M}]")
 
     rows = []
-    for i in range(config.samples):
-        t = config.t_max * i / (config.samples - 1)
+    for i in range(samples):
+        t = t_max * i / (samples - 1)
         row = [t, wave(x, t)]
-        row.extend(prefix.eval(x, t) for prefix in prefixes)
+        row.extend(partial_sum(coeffs[: n + 1], t) for n in orders)
         if approximant is not None:
             row.append(approximant(t))
         rows.append(tuple(row))
@@ -214,8 +198,8 @@ def divergence_figure(config: ExperimentConfig) -> Table:
         ("radius", format(radius, _FLOAT_FMT)),
         ("orders", " ".join(str(n) for n in orders)),
     ]
-    if config.pade is not None:
-        meta.append(("pade", f"{config.pade[0]}/{config.pade[1]}"))
+    if pade is not None:
+        meta.append(("pade", f"{L}/{M}"))
     return Table(tuple(columns), tuple(rows), tuple(meta))
 
 
@@ -308,8 +292,7 @@ def render_figure_svg(table: Table) -> str:
                 f'fill="#555555">R = {radius:.4f}</text>'
             )
 
-    def polylines(values: list[float], stroke: str, dash: str | None) -> None:
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    def polylines(values: list[float], stroke: str, dash_attr: str) -> None:
         run: list[str] = []
         segments = []
         for t, v in zip(ts, values):
@@ -329,16 +312,12 @@ def render_figure_svg(table: Table) -> str:
             )
 
     curves = list(table.columns[1:])
-    for ci, name in enumerate(curves):
-        values = [row[1 + ci] for row in table.rows]
-        if ci == 0:
-            polylines(values, "#000000", None)
-        else:
-            polylines(
-                values,
-                _PALETTE[(ci - 1) % len(_PALETTE)],
-                _DASHES[(ci - 1) % len(_DASHES)],
-            )
+    styles = [("#000000", "")] + [
+        (_PALETTE[i % len(_PALETTE)], f' stroke-dasharray="{_DASHES[i % len(_DASHES)]}"')
+        for i in range(len(curves) - 1)
+    ]
+    for ci, (stroke, dash_attr) in enumerate(styles):
+        polylines([row[1 + ci] for row in table.rows], stroke, dash_attr)
 
     # Legend, top left inside the frame.
     lx, ly = left + 12.0, top + 12.0
@@ -347,13 +326,8 @@ def render_figure_svg(table: Table) -> str:
         f'<rect x="{lx - 6:.2f}" y="{ly - 6:.2f}" width="150" '
         f'height="{box_h:.2f}" fill="white" stroke="#cccccc"/>'
     )
-    for ci, name in enumerate(curves):
+    for ci, (name, (stroke, dash_attr)) in enumerate(zip(curves, styles)):
         yy = ly + 18.0 * ci + 6.0
-        if ci == 0:
-            stroke, dash_attr = "#000000", ""
-        else:
-            stroke = _PALETTE[(ci - 1) % len(_PALETTE)]
-            dash_attr = f' stroke-dasharray="{_DASHES[(ci - 1) % len(_DASHES)]}"'
         parts.append(
             f'<line x1="{lx:.2f}" y1="{yy:.2f}" x2="{lx + 28:.2f}" y2="{yy:.2f}" '
             f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'

@@ -16,7 +16,6 @@ from taylorpde import (
     TravelingWave,
     empirical_radius,
     error_table,
-    ExperimentConfig,
     pade_fit,
     partial_sum,
     residual,
@@ -92,8 +91,7 @@ def test_criterion_05_truncation_helps_only_inside_radius(announce):
 
 
 def test_criterion_06_error_monotone_in_t(announce):
-    cfg = ExperimentConfig("riccati", (5,), xs=GRID_XS, ts=GRID_TS)
-    table = error_table(cfg)
+    table = error_table("riccati", (5,), xs=GRID_XS, ts=GRID_TS)
     ok = True
     for x in GRID_XS:
         errs = [row[6] for row in table.rows if row[1] == x]

@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from taylorpde.cli import _parse_trange
+
 CLI = [sys.executable, "-m", "taylorpde.cli"]
 
 
@@ -48,6 +50,21 @@ class TestSolve:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("0,u,0.5")
+
+
+class TestTimeRange:
+    @pytest.mark.parametrize(
+        "text, count, last",
+        [
+            ("0:0.5:0.3", 2, 0.3),
+            ("0.1:0.5:0.1", 5, 0.1 + 4 * 0.1),
+            ("0.0125:0.5:0.0125", 40, 0.0125 + 39 * 0.0125),
+        ],
+    )
+    def test_range_stops_at_stop(self, text, count, last):
+        ts = _parse_trange(text)
+        assert len(ts) == count
+        assert ts[-1] == last
 
 
 class TestRadius:

@@ -1,6 +1,7 @@
 """Backend equivalence: the compiled kernels must match the pure ones
 bitwise, because tests and cached results assume backend choice never
-changes a single float."""
+changes a single float.  Known-value checks run on every kernel that is
+available, so the pure kernels are checked without the extension too."""
 
 import subprocess
 import sys
@@ -11,33 +12,46 @@ from hypothesis import strategies as st
 
 from taylorpde import _backend, _kernels_py
 
-_compiled = pytest.importorskip(
-    "taylorpde._kernels", reason="compiled kernel extension not built"
+try:
+    from taylorpde import _kernels as _compiled
+except ImportError:
+    _compiled = None
+
+needs_compiled = pytest.mark.skipif(
+    _compiled is None, reason="compiled kernel extension not built"
 )
+KERNELS = [
+    pytest.param(_kernels_py, id="pure"),
+    pytest.param(_compiled, id="compiled", marks=needs_compiled),
+]
 
 _floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _rows = st.lists(st.lists(_floats, min_size=1, max_size=6), min_size=1, max_size=6)
 
 
+@needs_compiled
 def test_backend_prefers_compiled_when_available():
     assert _backend.BACKEND == "compiled"
     assert _backend.conv is _compiled.conv
 
 
-def test_conv_known_product():
-    assert _compiled.conv([1.0, 2.0], [3.0, 4.0]) == [3.0, 10.0, 8.0]
-    assert _kernels_py.conv([1.0, 2.0], [3.0, 4.0]) == [3.0, 10.0, 8.0]
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_conv_known_product(kernels):
+    assert kernels.conv([1.0, 2.0], [3.0, 4.0]) == [3.0, 10.0, 8.0]
 
 
-def test_conv_identity():
-    assert _compiled.conv([5.0, -1.0, 2.0], [1.0]) == [5.0, -1.0, 2.0]
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_conv_identity(kernels):
+    assert kernels.conv([5.0, -1.0, 2.0], [1.0]) == [5.0, -1.0, 2.0]
 
 
+@needs_compiled
 @given(st.lists(_floats, min_size=1, max_size=8), st.lists(_floats, min_size=1, max_size=8))
 def test_conv_backends_agree_bitwise(a, b):
     assert _compiled.conv(a, b) == _kernels_py.conv(a, b)
 
 
+@needs_compiled
 @given(_rows)
 def test_series_product_backends_agree_bitwise(rows):
     order = len(rows) - 1
@@ -46,10 +60,10 @@ def test_series_product_backends_agree_bitwise(rows):
     )
 
 
-def test_series_product_known_square():
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_series_product_known_square(kernels):
     rows = [[1.0], [1.0]]
-    assert _kernels_py.series_product(rows, rows, 1) == [[1.0], [2.0]]
-    assert _compiled.series_product(rows, rows, 1) == [[1.0], [2.0]]
+    assert kernels.series_product(rows, rows, 1) == [[1.0], [2.0]]
 
 
 def test_pure_fallback_when_extension_unavailable():

@@ -1,37 +1,38 @@
+import inspect
 import math
 
 import pytest
 
 from taylorpde import (
     ConfigError,
-    ExperimentConfig,
     Table,
     divergence_figure,
     error_table,
     from_csv,
     render_figure_svg,
+    solve,
     to_csv,
 )
+from taylorpde import report
 
 PAPER_XS = (-15.0, -10.0, -5.0, 5.0, 10.0)
 PAPER_TS = (0.1, 0.2, 0.3, 0.4, 0.5)
+PAPER_ARGS = dict(fixture="riccati", orders=(2, 5), xs=PAPER_XS, ts=PAPER_TS)
+FIGURE_ARGS = dict(fixture="riccati", orders=(5, 15), x=0.0, pade=(7, 8), t_max=0.5, samples=21)
 
 
-def paper_config(**overrides):
-    base = dict(fixture="riccati", orders=(2, 5), xs=PAPER_XS, ts=PAPER_TS)
-    base.update(overrides)
-    return ExperimentConfig(**base)
+def paper_table_with(**overrides):
+    return error_table(**{**PAPER_ARGS, **overrides})
 
 
 @pytest.fixture(scope="module")
 def paper_table():
-    return error_table(paper_config())
+    return error_table(**PAPER_ARGS)
 
 
 @pytest.fixture(scope="module")
 def figure_table():
-    cfg = ExperimentConfig("riccati", (5, 15), pade=(7, 8))
-    return divergence_figure(cfg)
+    return divergence_figure("riccati", (5, 15), pade=(7, 8))
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,8 @@ def figure_svg(figure_table):
 
 class TestConfigValidation:
     def test_valid(self):
-        paper_config().validate()
+        assert error_table(**PAPER_ARGS).rows
+        assert divergence_figure(**FIGURE_ARGS).rows
 
     @pytest.mark.parametrize(
         "overrides",
@@ -58,14 +60,20 @@ class TestConfigValidation:
         ],
     )
     def test_rejected(self, overrides):
-        with pytest.raises(ConfigError):
-            paper_config(**overrides).validate()
+        # Each bad value goes to every report function that takes it.
+        called = 0
+        for func, base in ((error_table, PAPER_ARGS), (divergence_figure, FIGURE_ARGS)):
+            if overrides.keys() <= inspect.signature(func).parameters.keys():
+                called += 1
+                with pytest.raises(ConfigError):
+                    func(**{**base, **overrides})
+        assert called
 
     def test_error_table_needs_grids(self):
         with pytest.raises(ConfigError):
-            error_table(paper_config(xs=()))
+            paper_table_with(xs=())
         with pytest.raises(ConfigError):
-            error_table(paper_config(ts=()))
+            paper_table_with(ts=())
 
 
 class TestErrorTable:
@@ -108,14 +116,30 @@ class TestErrorTable:
         assert row[6] < 1e-8
 
     def test_multi_field_fixture_emits_all_fields(self):
-        cfg = ExperimentConfig("coupled", (3,), xs=(5.0,), ts=(0.1,))
-        table = error_table(cfg)
+        table = error_table("coupled", (3,), xs=(5.0,), ts=(0.1,))
         assert [row[0] for row in table.rows] == ["u", "v", "z"]
 
     def test_metadata(self, paper_table):
         meta = dict(paper_table.meta)
         assert meta["fixture"] == "riccati"
         assert meta["orders"] == "2 5"
+
+    def test_one_solve_gives_each_order_bitwise(self, coupled, monkeypatch):
+        solves = []
+
+        def counting_solve(*args):
+            solves.append(args[-1])
+            return solve(*args)
+
+        monkeypatch.setattr(report, "solve", counting_solve)
+        table = error_table("coupled", (7, 3), xs=(-5.0, 0.0, 2.5), ts=(0.05, 0.3))
+        assert solves == [7]
+        by_order = {n: solve(coupled.system, coupled.initial, n) for n in (3, 7)}
+        fields = coupled.system.fields
+        assert len(table.rows) == 3 * 3 * 2 * 2
+        for name, x, t, n, approx, *_ in table.rows:
+            expected = by_order[n].series[fields.index(name)].eval(x, t)
+            assert approx == expected
 
 
 class TestDivergenceFigure:
@@ -149,19 +173,25 @@ class TestDivergenceFigure:
         assert meta["x"] == "0"
 
     def test_without_pade_column(self):
-        cfg = ExperimentConfig("riccati", (5,), samples=11)
-        table = divergence_figure(cfg)
+        table = divergence_figure("riccati", (5,), samples=11)
         assert table.columns == ("t", "exact", "T5")
         assert "pade" not in dict(table.meta)
 
     def test_off_center_slice_uses_first_x(self):
-        cfg = ExperimentConfig("riccati", (5,), xs=(2.0,), samples=11)
-        table = divergence_figure(cfg)
+        table = divergence_figure("riccati", (5,), x=2.0, samples=11)
         meta = dict(table.meta)
         assert float(meta["x"]) == 2.0
         assert float(meta["radius"]) == pytest.approx(
             math.sqrt(4.0 + (math.pi / 2) ** 2) / 5.5, rel=1e-12
         )
+
+    def test_one_solve_gives_each_order_bitwise(self, coupled):
+        table = divergence_figure("coupled", (7, 3), x=2.5, samples=11)
+        assert table.columns == ("t", "exact", "T3", "T7")
+        for ci, n in ((2, 3), (3, 7)):
+            series = solve(coupled.system, coupled.initial, n).series[0]
+            for row in table.rows:
+                assert row[ci] == series.eval(2.5, row[0])
 
 
 class TestCsv:
@@ -171,17 +201,16 @@ class TestCsv:
         assert from_csv(text) == table
 
     def test_error_table_round_trip(self):
-        table = error_table(paper_config(xs=(5.0,), ts=(0.1, 0.2)))
+        table = paper_table_with(xs=(5.0,), ts=(0.1, 0.2))
         assert from_csv(to_csv(table)) == table
 
     def test_figure_round_trip(self):
-        cfg = ExperimentConfig("riccati", (5, 15), pade=(7, 8), samples=21)
-        table = divergence_figure(cfg)
+        table = divergence_figure(**FIGURE_ARGS)
         assert from_csv(to_csv(table)) == table
 
     def test_deterministic_output(self):
-        a = to_csv(error_table(paper_config()))
-        b = to_csv(error_table(paper_config()))
+        a = to_csv(error_table(**PAPER_ARGS))
+        b = to_csv(error_table(**PAPER_ARGS))
         assert a == b
 
     def test_newline_convention(self):
@@ -219,5 +248,5 @@ class TestSvg:
         assert "R = 0.2856" in figure_svg
 
     def test_deterministic(self, figure_svg):
-        cfg = ExperimentConfig("riccati", (5, 15), pade=(7, 8))
-        assert render_figure_svg(divergence_figure(cfg)) == figure_svg
+        table = divergence_figure("riccati", (5, 15), pade=(7, 8))
+        assert render_figure_svg(table) == figure_svg
