@@ -8,17 +8,11 @@ from .dsl import PdeSystem, eval_rhs, parse_system, pretty
 from .errors import (
     ConfigError,
     DegenerateSystemError,
-    DegenerateWaveError,
-    DimensionMismatchError,
-    DuplicateEquationError,
-    InsufficientCoefficientsError,
     InsufficientDataError,
     ParseError,
     PoleEvaluationError,
     TaylorPdeError,
     TruncationError,
-    UnknownFieldError,
-    UnsupportedDerivativeError,
 )
 from .fixtures import FIXTURES, Fixture
 from .pade import PadeApproximant, pade_fit
@@ -40,12 +34,8 @@ __all__ = [
     "BACKEND",
     "ConfigError",
     "DegenerateSystemError",
-    "DegenerateWaveError",
-    "DimensionMismatchError",
-    "DuplicateEquationError",
     "FIXTURES",
     "Fixture",
-    "InsufficientCoefficientsError",
     "InsufficientDataError",
     "PadeApproximant",
     "ParseError",
@@ -58,8 +48,6 @@ __all__ = [
     "TimeSeries",
     "TravelingWave",
     "TruncationError",
-    "UnknownFieldError",
-    "UnsupportedDerivativeError",
     "builtin_waves",
     "divergence_figure",
     "empirical_radius",

@@ -7,9 +7,10 @@ Subcommands:
     figure   sample truncations along t at fixed x, as CSV and SVG
     radius   convergence radius of the builtin kinks per x
 
-Exit codes: 0 on success, 2 for configuration or parse problems (bad
-flags, unreadable files, invalid system text), 3 for numerical failures
-(degenerate fits, insufficient data).  Outputs are byte-deterministic.
+Exit codes: 0 on success, 2 for configuration or parse problems
+(ConfigError, ParseError or an unreadable file), 3 for any other
+TaylorPdeError (degenerate fits, insufficient data).  Every CSV goes
+through report.to_csv, so outputs are byte-deterministic.
 
 Note for values starting with a minus sign: write `--x=-15,-10` in the
 attached form, or the shell-agnostic argument parser will read `-15,-10`
@@ -23,16 +24,10 @@ import sys
 from pathlib import Path
 
 from .dsl import parse_system
-from .errors import ConfigError, DimensionMismatchError, ParseError, TaylorPdeError
+from .errors import ConfigError, ParseError, TaylorPdeError
 from .fixtures import FIXTURES
 from .fixtures import get as get_fixture
-from .report import (
-    _FLOAT_FMT,
-    divergence_figure,
-    error_table,
-    render_figure_svg,
-    to_csv,
-)
+from .report import Table, divergence_figure, error_table, render_figure_svg, to_csv
 from .series import TanhPoly
 from .solver import residual, solve
 from .waves import builtin_waves
@@ -110,21 +105,17 @@ def _cmd_solve(args) -> int:
     solution = solve(system, initial, args.order)
     if args.print_coeffs:
         width = max(p.degree for s in solution.series for p in s.coeffs) + 1
-        header = ["order", "field"] + [f"c{d}" for d in range(width)]
-        print(",".join(header))
+        columns = ("order", "field") + tuple(f"c{d}" for d in range(width))
+        rows = []
         for j in range(args.order + 1):
             for name, series in zip(system.fields, solution.series):
-                poly = series.coeffs[j]
-                cells = [str(j), name]
-                cells.extend(
-                    format(poly.coeffs[d] if d <= poly.degree else 0.0, _FLOAT_FMT)
-                    for d in range(width)
-                )
-                print(",".join(cells))
+                cells = series.coeffs[j].coeffs
+                rows.append((j, name, *cells, *(0.0,) * (width - len(cells))))
+        print(to_csv(Table(columns, tuple(rows))), end="")
     else:
         print(f"fields: {', '.join(system.fields)}")
         print(f"order: {args.order}")
-        print(f"residual: {format(residual(system, solution), _FLOAT_FMT)}")
+        print(f"residual: {residual(system, solution):.17g}")
     return 0
 
 
@@ -172,9 +163,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_radius(args) -> int:
     wave = builtin_waves()[0]
-    print("x,radius")
-    for x in _parse_floats(args.x, "--x"):
-        print(f"{format(x, _FLOAT_FMT)},{format(wave.convergence_radius(x), _FLOAT_FMT)}")
+    rows = tuple((x, wave.convergence_radius(x)) for x in _parse_floats(args.x, "--x"))
+    print(to_csv(Table(("x", "radius"), rows)), end="")
     return 0
 
 
@@ -235,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, DimensionMismatchError, OSError) as exc:
+    except (ParseError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TaylorPdeError as exc:

@@ -32,13 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateEquationError,
-    ParseError,
-    UnknownFieldError,
-    UnsupportedDerivativeError,
-)
+from .errors import ConfigError, ParseError
 from .series import TimeSeries
 
 
@@ -184,7 +178,7 @@ def parse_system(text: str) -> PdeSystem:
         if len(tokens) < 3 or tokens[2].text != "=":
             raise ParseError("expected '=' after the primed field name", lineno, head.col)
         if head.text in seen:
-            raise DuplicateEquationError(
+            raise ParseError(
                 f"field '{head.text}' already has an equation on line {seen[head.text]}",
                 lineno,
                 head.col,
@@ -322,7 +316,7 @@ class _ExprParser:
         if "_" in text:
             base, suffix = text.split("_", 1)
             if "t" in suffix:
-                raise UnsupportedDerivativeError(
+                raise ParseError(
                     "time derivatives cannot appear in a right-hand side",
                     tok.line,
                     tok.col,
@@ -340,13 +334,11 @@ class _ExprParser:
         self._next()  # (
         inner = self._next()
         if inner.kind != "name" or "_" in inner.text:
-            raise UnsupportedDerivativeError(
-                "d_x applies to a single plain field name", inner.line, inner.col
-            )
+            raise ParseError("d_x applies to a single plain field name", inner.line, inner.col)
         idx = self._field_index(inner.text, inner)
         closing = self._next()
         if closing.text != ")":
-            raise UnsupportedDerivativeError(
+            raise ParseError(
                 "d_x applies to a single field name, not an expression",
                 closing.line,
                 closing.col,
@@ -357,7 +349,7 @@ class _ExprParser:
         try:
             return self._fields[name]
         except KeyError:
-            raise UnknownFieldError(f"unknown field '{name}'", tok.line, tok.col) from None
+            raise ParseError(f"unknown field '{name}'", tok.line, tok.col) from None
 
 
 def pretty(node: Node, fields: Sequence[str]) -> str:
@@ -412,7 +404,7 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
     only on state coefficients 0..j.
     """
     if len(state) != len(system.fields):
-        raise DimensionMismatchError(
+        raise ConfigError(
             f"system has {len(system.fields)} fields but state has {len(state)} entries"
         )
     if order < 0:

@@ -3,7 +3,9 @@
 Everything raised on purpose derives from TaylorPdeError so callers can
 distinguish library failures from programming mistakes.  Parse-time
 problems carry source coordinates; numerical problems carry enough context
-to report what went wrong without re-running the computation.
+to report what went wrong without re-running the computation.  A class
+exists only where a caller acts on it: the CLI exits 2 for ParseError and
+ConfigError and 3 for every other TaylorPdeError.
 """
 
 
@@ -13,10 +15,6 @@ class TaylorPdeError(Exception):
 
 class TruncationError(TaylorPdeError):
     """A series operation asked for more orders than its inputs carry."""
-
-
-class DimensionMismatchError(TaylorPdeError):
-    """State vector length does not match the number of system fields."""
 
 
 class ParseError(TaylorPdeError):
@@ -34,38 +32,18 @@ class ParseError(TaylorPdeError):
         self.col = col
 
 
-class UnknownFieldError(ParseError):
-    """An expression referenced a name with no defining equation."""
-
-
-class DuplicateEquationError(ParseError):
-    """Two equations define the same field."""
-
-
-class UnsupportedDerivativeError(ParseError):
-    """A derivative outside the supported x-only, field-only form."""
-
-
 class DegenerateSystemError(TaylorPdeError):
     """Rational fit rejected: the coefficient system is singular or
     numerically indistinguishable from singular."""
 
 
-class InsufficientCoefficientsError(TaylorPdeError):
-    """Too few series coefficients for the requested rational fit."""
-
-
 class InsufficientDataError(TaylorPdeError):
-    """Too few usable coefficient ratios to estimate a radius."""
+    """Too few series coefficients for the requested fit or estimate."""
 
 
 class PoleEvaluationError(TaylorPdeError):
     """Rational approximant evaluated where its denominator vanishes."""
 
 
-class DegenerateWaveError(TaylorPdeError):
-    """Wave parameters admit no finite convergence radius."""
-
-
 class ConfigError(TaylorPdeError):
-    """Invalid experiment configuration or command-line input."""
+    """Invalid configuration, input shape or command-line input."""

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSystemError,
-    InsufficientCoefficientsError,
-    PoleEvaluationError,
-)
+from .errors import DegenerateSystemError, InsufficientDataError, PoleEvaluationError
 from .waves import partial_sum
 
 # Above this condition number the fitted denominator digits are noise.
@@ -91,7 +87,7 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
     if M < 0:
         raise ValueError("denominator order must be nonnegative")
     if len(c) < L + M + 1:
-        raise InsufficientCoefficientsError(
+        raise InsufficientDataError(
             f"[{L}/{M}] fit needs {L + M + 1} coefficients, got {len(c)}"
         )
     if M == 0:

@@ -13,7 +13,7 @@ backend so the compiled and pure implementations stay interchangeable.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import _backend
@@ -176,10 +176,6 @@ class TimeSeries:
     @classmethod
     def zero(cls, order: int) -> TimeSeries:
         return cls.constant(0.0, order)
-
-    @classmethod
-    def from_scalars(cls, values: Sequence[int | float | Fraction]) -> TimeSeries:
-        return cls([TanhPoly([v]) for v in values])
 
     @property
     def coeffs(self) -> tuple[TanhPoly, ...]:

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dsl import PdeSystem, eval_rhs
-from .errors import DimensionMismatchError
+from .errors import ConfigError
 from .series import TanhPoly, TimeSeries
 
 
@@ -45,7 +45,7 @@ class SeriesSolution:
 def _as_initial(initial: Sequence, nfields: int) -> list[TanhPoly]:
     polys = [p if isinstance(p, TanhPoly) else TanhPoly(p) for p in initial]
     if len(polys) != nfields:
-        raise DimensionMismatchError(
+        raise ConfigError(
             f"system has {nfields} fields but {len(polys)} initial profiles were given"
         )
     return polys

@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import DegenerateWaveError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 
 # Ratios below this fraction of the neighborhood scale count as zero when
 # scanning for sparsity patterns; coefficient growth makes a global
@@ -64,9 +64,9 @@ class TravelingWave:
     def convergence_radius(self, x: float) -> float:
         """Distance from t = 0 to the nearest complex-t pole at this x."""
         if self.rate == 0.0:
-            raise DegenerateWaveError("a wave with zero rate never moves; its t-series is trivial")
+            raise ConfigError("a wave with zero rate never moves; its t-series is trivial")
         if self.amplitude == 0.0:
-            raise DegenerateWaveError("a constant wave has no pole and no finite radius")
+            raise ConfigError("a constant wave has no pole and no finite radius")
         theta = self.wavenumber * x
         return math.sqrt(theta * theta + (math.pi / 2.0) ** 2) / abs(self.rate)
 

@@ -6,6 +6,9 @@ import pytest
 from taylorpde.cli import _parse_trange
 
 CLI = [sys.executable, "-m", "taylorpde.cli"]
+# Stands for a system file, written per test, whose equation names an
+# undefined field: `u' = w_x`.
+UNKNOWN_FIELD_FILE = "<unknown-field.pde>"
 
 
 def run(*args, cwd=None):
@@ -152,12 +155,18 @@ class TestExitCodes:
             ("solve", "--system", "/nonexistent/x.pde", "--init", "0,1", "--order", "3"),
             ("figure", "--fixture", "riccati", "--x", "0", "--t-max", "0", "--out", "/tmp/zz"),
             ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "oops", "--out", "/tmp/zz"),
+            ("solve", "--fixture", "coupled", "--init", "0,1", "--order", "3"),
+            ("solve", "--system", UNKNOWN_FIELD_FILE, "--init", "0,1", "--order", "3"),
         ],
     )
-    def test_config_errors_exit_2(self, args):
-        proc = run(*args)
+    def test_config_errors_exit_2(self, args, tmp_path):
+        system = tmp_path / "unknown-field.pde"
+        system.write_text("u' = w_x\n")
+        proc = run(*(str(system) if arg == UNKNOWN_FIELD_FILE else arg for arg in args))
         assert proc.returncode == 2
         assert proc.stderr != ""
+        if UNKNOWN_FIELD_FILE in args:
+            assert "line 1, column 6: unknown field 'w'" in proc.stderr
 
     def test_missing_init_with_system_file(self, tmp_path):
         path = tmp_path / "ok.pde"

@@ -4,7 +4,7 @@ import pytest
 
 from taylorpde import (
     DegenerateSystemError,
-    InsufficientCoefficientsError,
+    InsufficientDataError,
     PoleEvaluationError,
     TravelingWave,
     pade_fit,
@@ -50,7 +50,7 @@ class TestFit:
         assert ap(0.0) == ap.num[0]
 
     def test_too_few_coefficients(self):
-        with pytest.raises(InsufficientCoefficientsError):
+        with pytest.raises(InsufficientDataError, match=r"^\[1/1\] fit needs 3 coefficients, got 2$"):
             pade_fit([1.0, 2.0], 1, 1)
 
     def test_negative_orders(self):

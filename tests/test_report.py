@@ -177,7 +177,7 @@ class TestDivergenceFigure:
         assert table.columns == ("t", "exact", "T5")
         assert "pade" not in dict(table.meta)
 
-    def test_off_center_slice_uses_first_x(self):
+    def test_off_center_slice(self):
         table = divergence_figure("riccati", (5,), x=2.0, samples=11)
         meta = dict(table.meta)
         assert float(meta["x"]) == 2.0

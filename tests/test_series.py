@@ -123,26 +123,26 @@ class TestTimeSeries:
             TanhPoly.zero(),
         )
         assert TimeSeries.zero(1).coeffs == (TanhPoly.zero(), TanhPoly.zero())
-        assert TimeSeries.from_scalars([1, 2, 3]).order == 2
+        assert TimeSeries([1, 2, 3]).order == 2
 
     def test_truncate(self):
-        s = TimeSeries.from_scalars([1.0, 2.0, 3.0])
+        s = TimeSeries([1.0, 2.0, 3.0])
         assert s.truncate(1).coeffs == s.coeffs[:2]
         assert s.truncate(2) is s
 
     def test_truncate_cannot_extend(self):
         with pytest.raises(TruncationError):
-            TimeSeries.from_scalars([1.0]).truncate(3)
+            TimeSeries([1.0]).truncate(3)
 
     def test_mul_squares_binomial(self):
         # (1 + t)^2 = 1 + 2t + t^2
-        s = TimeSeries.from_scalars([1.0, 1.0, 0.0])
+        s = TimeSeries([1.0, 1.0, 0.0])
         sq = s.mul(s, 2)
         assert [p.coeffs[0] for p in sq.coeffs] == [1.0, 2.0, 1.0]
 
     def test_mul_truncates_convolution(self):
         # (1 + t + t^2)^2 cut at order 2
-        s = TimeSeries.from_scalars([1.0, 1.0, 1.0])
+        s = TimeSeries([1.0, 1.0, 1.0])
         sq = s.mul(s, 2)
         assert [p.coeffs[0] for p in sq.coeffs] == [1.0, 2.0, 3.0]
 
@@ -155,37 +155,37 @@ class TestTimeSeries:
         assert prod.coeffs[1] == TanhPoly([0.0, 1.0])
 
     def test_mul_rejects_deeper_truncation_than_inputs(self):
-        a = TimeSeries.from_scalars([1.0, 1.0])
+        a = TimeSeries([1.0, 1.0])
         with pytest.raises(TruncationError):
             a.mul(a, 2)
 
     def test_mul_prefix_stability(self):
         # Extending the truncation order never changes earlier coefficients.
-        a = TimeSeries.from_scalars([1.0, -0.5, 0.25, 2.0, 1.5])
-        b = TimeSeries.from_scalars([2.0, 3.0, -1.0, 0.5, 0.75])
+        a = TimeSeries([1.0, -0.5, 0.25, 2.0, 1.5])
+        b = TimeSeries([2.0, 3.0, -1.0, 0.5, 0.75])
         low = a.mul(b, 2)
         high = a.mul(b, 4)
         assert high.coeffs[:3] == low.coeffs
 
     def test_add_aligns_to_shorter_order(self):
-        a = TimeSeries.from_scalars([1.0, 2.0])
-        b = TimeSeries.from_scalars([1.0, 1.0, 1.0, 1.0])
+        a = TimeSeries([1.0, 2.0])
+        b = TimeSeries([1.0, 1.0, 1.0, 1.0])
         assert (a + b).order == 1
         assert (a - b).coeffs[1] == TanhPoly([1.0])
 
     def test_integrate(self):
-        assert [p.coeffs[0] for p in TimeSeries.from_scalars([1.0]).integrate().coeffs] == [
+        assert [p.coeffs[0] for p in TimeSeries([1.0]).integrate().coeffs] == [
             0.0,
             1.0,
         ]
-        s = TimeSeries.from_scalars([4.0, 6.0]).integrate()
+        s = TimeSeries([4.0, 6.0]).integrate()
         assert [p.coeffs[0] for p in s.coeffs] == [0.0, 4.0, 3.0]
-        s = TimeSeries.from_scalars([0.0, 0.0, 3.0]).integrate()
+        s = TimeSeries([0.0, 0.0, 3.0]).integrate()
         assert [p.coeffs[0] for p in s.coeffs] == [0.0, 0.0, 0.0, 1.0]
 
     def test_integrate_then_differentiate_in_t(self):
         # d/dt of the antiderivative reproduces the series values.
-        s = TimeSeries.from_scalars([1.0, -2.0, 0.5])
+        s = TimeSeries([1.0, -2.0, 0.5])
         anti = s.integrate()
         h = 1e-5
         t = 0.05
@@ -193,7 +193,7 @@ class TestTimeSeries:
         assert abs(fd - s.eval(0.3, t)) < 1e-6
 
     def test_eval_constant_coefficients(self):
-        s = TimeSeries.from_scalars([1.0, 2.0, 1.0])
+        s = TimeSeries([1.0, 2.0, 1.0])
         assert s.eval(0.0, 0.5) == 2.25
 
     def test_eval_at_t_zero_is_leading_poly(self):
@@ -209,10 +209,10 @@ class TestTimeSeries:
 
     def test_dx_requires_positive_order(self):
         with pytest.raises(ValueError):
-            TimeSeries.from_scalars([1.0]).dx(0)
+            TimeSeries([1.0]).dx(0)
 
     def test_scale_and_neg(self):
-        s = TimeSeries.from_scalars([1.0, -2.0])
+        s = TimeSeries([1.0, -2.0])
         assert [p.coeffs[0] for p in s.scale(2).coeffs] == [2.0, -4.0]
         assert [p.coeffs[0] for p in (-s).coeffs] == [-1.0, 2.0]
 
@@ -249,6 +249,6 @@ def test_series_mul_matches_numpy_convolution():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(6)
     b = rng.standard_normal(6)
-    ours = TimeSeries.from_scalars(a).mul(TimeSeries.from_scalars(b), 5)
+    ours = TimeSeries(a).mul(TimeSeries(b), 5)
     full = np.convolve(a, b)[:6]
     np.testing.assert_allclose([p.coeffs[0] for p in ours.coeffs], full, rtol=1e-13)

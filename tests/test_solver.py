@@ -3,7 +3,7 @@ import math
 import pytest
 
 from taylorpde import (
-    DimensionMismatchError,
+    ConfigError,
     SeriesSolution,
     TanhPoly,
     parse_system,
@@ -54,7 +54,9 @@ class TestRecurrence:
             solve(riccati.system, riccati.initial, 0)
 
     def test_initial_length_validation(self, coupled):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(
+            ConfigError, match="^system has 3 fields but 2 initial profiles were given$"
+        ):
             solve(coupled.system, coupled.initial[:2], 3)
 
     def test_initial_accepts_plain_lists(self, riccati):

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from taylorpde import (
-    DegenerateWaveError,
+    ConfigError,
     InsufficientDataError,
     TimeSeries,
     TravelingWave,
@@ -101,12 +101,14 @@ class TestConvergenceRadius:
 
     def test_degenerate_rate(self):
         frozen = TravelingWave(0.0, 1.0, 1.0, 0.0)
-        with pytest.raises(DegenerateWaveError):
+        with pytest.raises(
+            ConfigError, match="^a wave with zero rate never moves; its t-series is trivial$"
+        ):
             frozen.convergence_radius(1.0)
 
     def test_degenerate_amplitude(self):
         flat = TravelingWave(1.0, 0.0, 1.0, 5.5)
-        with pytest.raises(DegenerateWaveError):
+        with pytest.raises(ConfigError, match="^a constant wave has no pole and no finite radius$"):
             flat.convergence_radius(1.0)
 
     def test_builtin_waves_share_geometry(self):
@@ -143,7 +145,7 @@ class TestEmpiricalRadius:
             empirical_radius([1.0, 2.0] + [0.0] * 10)
 
     def test_accepts_scalar_time_series(self):
-        series = TimeSeries.from_scalars([2.0**-j for j in range(17)])
+        series = TimeSeries([2.0**-j for j in range(17)])
         assert empirical_radius(series) == pytest.approx(2.0, abs=1e-9)
 
     def test_rejects_nonscalar_time_series(self):
