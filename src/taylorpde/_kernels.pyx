@@ -32,20 +32,24 @@ def conv(a, b):
     return list(out_arr)
 
 
-def series_product(a, b, order):
-    """Cauchy product of two lists of coefficient lists, truncated.
+def series_product(a, b, order, start=0):
+    """Rows start..order of the Cauchy product of two lists of coefficient
+    lists.
 
     a and b hold at least order+1 rows each; row k of the result is
-    sum over i of conv(a[i], b[k-i]), accumulated in increasing i.
+    sum over i of conv(a[i], b[k-i]), accumulated in increasing i.  A row
+    does not depend on which other rows are asked for, so
+    series_product(a, b, n, start=k) == series_product(a, b, n)[k:].
     """
     a_rows = [array("d", row) for row in a]
     b_rows = [array("d", row) for row in b]
     out = []
     cdef Py_ssize_t n = order
+    cdef Py_ssize_t s = start
     cdef Py_ssize_t k, i, p, q, width, w
     cdef double[:] av, bv, ov
     cdef double aip
-    for k in range(n + 1):
+    for k in range(s, n + 1):
         width = 1
         for i in range(k + 1):
             w = len(a_rows[i]) + len(b_rows[k - i]) - 1

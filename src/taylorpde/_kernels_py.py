@@ -23,14 +23,17 @@ def conv(a, b):
     return out
 
 
-def series_product(a, b, order):
-    """Cauchy product of two lists of coefficient lists, truncated.
+def series_product(a, b, order, start=0):
+    """Rows start..order of the Cauchy product of two lists of coefficient
+    lists.
 
     a and b hold at least order+1 rows each; row k of the result is
-    sum over i of conv(a[i], b[k-i]), accumulated in increasing i.
+    sum over i of conv(a[i], b[k-i]), accumulated in increasing i.  A row
+    does not depend on which other rows are asked for, so
+    series_product(a, b, n, start=k) == series_product(a, b, n)[k:].
     """
     out = []
-    for k in range(order + 1):
+    for k in range(start, order + 1):
         width = 1
         for i in range(k + 1):
             w = len(a[i]) + len(b[k - i]) - 1

@@ -27,7 +27,7 @@ from .dsl import parse_system
 from .errors import ConfigError, ParseError, TaylorPdeError
 from .fixtures import FIXTURES
 from .fixtures import get as get_fixture
-from .report import Table, divergence_figure, error_table, render_figure_svg, to_csv
+from .report import Table, divergence_figure, error_table, format_cell, render_figure_svg, to_csv
 from .series import TanhPoly
 from .solver import residual, solve
 from .waves import builtin_waves
@@ -115,7 +115,7 @@ def _cmd_solve(args) -> int:
     else:
         print(f"fields: {', '.join(system.fields)}")
         print(f"order: {args.order}")
-        print(f"residual: {residual(system, solution):.17g}")
+        print(f"residual: {format_cell(residual(system, solution))}")
     return 0
 
 

@@ -27,13 +27,14 @@ are ordered by the appearance of their defining equations.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from . import _backend
 from .errors import ConfigError, ParseError
-from .series import TimeSeries
+from .series import TanhPoly, TimeSeries
 
 
 @dataclass(frozen=True)
@@ -396,12 +397,99 @@ def _wrap(node: Node, minprec: int, fields: Sequence[str], unary_ok: bool = Fals
     return f"({text})"
 
 
+class RowEvaluator:
+    """The right-hand sides of a system, evaluated one order in t at a time.
+
+    advance(row) takes the order-j coefficient of every field, j being the
+    number of earlier advance() calls, and returns the order-j coefficient
+    of every right-hand side.  The expression trees are compiled once into
+    nodes that keep the rows they have computed, so each order computes
+    only its own row: a product row is sum_i a_i * b_(j-i) over the stored
+    rows of its factors, a power appends one product row per extra factor,
+    and a spatial derivative of the new state row is taken once per
+    (field, derivative order).  A row is the same float sequence that the
+    full truncated Cauchy product gives, whatever order is reached.
+    """
+
+    def __init__(self, system: PdeSystem):
+        self._state: list[list[TanhPoly]] = [[] for _ in system.fields]
+        self._steps: list[Callable[[int], None]] = []  # operands first
+        self._derivs: dict[tuple[int, int], list[TanhPoly]] = {}
+        self._roots = tuple(self._compile(eq) for eq in system.equations)
+        self._order = 0
+
+    def advance(self, row: Sequence[TanhPoly]) -> tuple[TanhPoly, ...]:
+        j = self._order
+        for rows, p in zip(self._state, row):
+            rows.append(p)
+        for step in self._steps:
+            step(j)
+        self._order += 1
+        return tuple(rows[j] for rows in self._roots)
+
+    def _compile(self, node: Node) -> list[TanhPoly]:
+        """Register the steps that extend a node's rows; return the rows."""
+        if isinstance(node, Field):
+            return self._state[node.index]
+        if isinstance(node, Const):
+            head = TanhPoly([float(node.value)])
+            return self._node(lambda j: head if j == 0 else TanhPoly.zero())
+        if isinstance(node, Deriv):
+            key = (node.index, node.order)
+            if key not in self._derivs:
+                field = self._state[node.index]
+                self._derivs[key] = self._node(lambda j: _dx(field[j], node.order))
+            return self._derivs[key]
+        if isinstance(node, Add):
+            a, b = self._compile(node.left), self._compile(node.right)
+            return self._node(lambda j: a[j] + b[j])
+        if isinstance(node, Sub):
+            a, b = self._compile(node.left), self._compile(node.right)
+            return self._node(lambda j: a[j] - b[j])
+        if isinstance(node, Mul):
+            return self._product(self._compile(node.left), self._compile(node.right))
+        if isinstance(node, Neg):
+            a = self._compile(node.operand)
+            return self._node(lambda j: -a[j])
+        if isinstance(node, Pow):
+            base = self._compile(node.base)
+            out = base
+            for _ in range(node.exponent - 1):
+                out = self._product(out, base)
+            return out
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def _node(self, row: Callable[[int], TanhPoly]) -> list[TanhPoly]:
+        """A new node whose row j is row(j), after every step registered so far."""
+        rows: list[TanhPoly] = []
+        self._steps.append(lambda j: rows.append(row(j)))
+        return rows
+
+    def _product(self, a: list[TanhPoly], b: list[TanhPoly]) -> list[TanhPoly]:
+        rows_a: list[tuple[float, ...]] = []
+        rows_b: list[tuple[float, ...]] = []
+
+        def row(j: int) -> TanhPoly:
+            rows_a.append(a[j].coeffs)
+            rows_b.append(b[j].coeffs)
+            return TanhPoly(_backend.series_product(rows_a, rows_b, j, start=j)[0])
+
+        return self._node(row)
+
+
+def _dx(p: TanhPoly, k: int) -> TanhPoly:
+    for _ in range(k):
+        p = p.dx()
+    return p
+
+
 def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tuple[TimeSeries, ...]:
     """Evaluate every right-hand side on a state vector of series.
 
-    Each result is truncated at exactly `order`; products are cut there
-    rather than extended, so the order-j coefficient of the result depends
-    only on state coefficients 0..j.
+    Each result is truncated at exactly `order`.  The order-j coefficient
+    of a result reads only state coefficients 0..j, so the rows are built
+    in increasing j with a RowEvaluator, each order computing only its own
+    row; products are cut at `order` rather than extended.
     """
     if len(state) != len(system.fields):
         raise ConfigError(
@@ -410,32 +498,6 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
     if order < 0:
         raise ValueError("order must be nonnegative")
     trunc = [s.truncate(order) for s in state]
-    deriv_cache: dict[tuple[int, int], TimeSeries] = {}
-
-    def ev(node: Node) -> TimeSeries:
-        if isinstance(node, Const):
-            return TimeSeries.constant(float(node.value), order)
-        if isinstance(node, Field):
-            return trunc[node.index]
-        if isinstance(node, Deriv):
-            key = (node.index, node.order)
-            if key not in deriv_cache:
-                deriv_cache[key] = trunc[node.index].dx(node.order)
-            return deriv_cache[key]
-        if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, Mul):
-            return ev(node.left).mul(ev(node.right), order)
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Pow):
-            base = ev(node.base)
-            out = base
-            for _ in range(node.exponent - 1):
-                out = out.mul(base, order)
-            return out
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return tuple(ev(eq) for eq in system.equations)
+    evaluator = RowEvaluator(system)
+    rows = [evaluator.advance([s.coeffs[j] for s in trunc]) for j in range(order + 1)]
+    return tuple(TimeSeries(col) for col in zip(*rows))

@@ -20,7 +20,9 @@ from .waves import partial_sum
 _FLOAT_FMT = ".17g"
 
 
-def _fmt_cell(value) -> str:
+def format_cell(value) -> str:
+    """Text of one cell: ints as digits, floats repr-exact ('.17g'), anything else
+    through str(); booleans are refused."""
     if isinstance(value, bool):
         raise TypeError("boolean cells are not supported")
     if isinstance(value, int):
@@ -53,7 +55,7 @@ def to_csv(table: Table) -> str:
     lines = [f"# {key}: {value}" for key, value in table.meta]
     lines.append(",".join(table.columns))
     for row in table.rows:
-        lines.append(",".join(_fmt_cell(cell) for cell in row))
+        lines.append(",".join(format_cell(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 

@@ -5,10 +5,13 @@ coefficients turns u_t = F(u) into the recurrence
 
     u[j+1] = (order-j coefficient of F evaluated on the truncated state) / (j+1),
 
-which is the term-by-term antiderivative of F.  Because the order-j
-coefficient of F only reads state coefficients 0..j, one pass per order
-suffices and earlier coefficients never change: extending a solve to a
-higher order reproduces the lower-order coefficients bitwise.
+which is the term-by-term antiderivative of F.  The order-j coefficient
+of F only reads state coefficients 0..j, so solve() feeds the state to a
+dsl.RowEvaluator one row per order, and each order computes only its own
+row of every product and derivative (Taylor mode: a solve to order N
+multiplies O(N^2) pairs of rows, not O(N^3)).  Earlier coefficients
+never change: extending a solve to a higher order reproduces the
+lower-order coefficients bitwise.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .dsl import PdeSystem, eval_rhs
+from .dsl import PdeSystem, RowEvaluator, eval_rhs
 from .errors import ConfigError
 from .series import TanhPoly, TimeSeries
 
@@ -62,11 +65,10 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
         raise ValueError("order must be at least 1")
     profiles = _as_initial(initial, len(system.fields))
     columns = [[p] for p in profiles]
+    rhs = RowEvaluator(system)
     for j in range(order):
-        state = [TimeSeries(col) for col in columns]
-        rhs = eval_rhs(system, state, j)
-        for col, r in zip(columns, rhs):
-            col.append(r.coeffs[j] / (j + 1))
+        for col, r in zip(columns, rhs.advance([col[j] for col in columns])):
+            col.append(r / (j + 1))
     return SeriesSolution(
         system, order, tuple(TimeSeries(col) for col in columns), tuple(profiles)
     )

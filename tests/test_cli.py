@@ -21,9 +21,7 @@ class TestSolve:
     def test_summary(self):
         proc = run("solve", "--fixture", "riccati", "--order", "5")
         assert proc.returncode == 0
-        assert "fields: u" in proc.stdout
-        assert "order: 5" in proc.stdout
-        assert "residual: 0" in proc.stdout
+        assert proc.stdout == "fields: u\norder: 5\nresidual: 0\n"
 
     def test_print_coeffs(self):
         proc = run("solve", "--fixture", "riccati", "--order", "2", "--print-coeffs")

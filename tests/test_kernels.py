@@ -3,6 +3,7 @@ bitwise, because tests and cached results assume backend choice never
 changes a single float.  Known-value checks run on every kernel that is
 available, so the pure kernels are checked without the extension too."""
 
+import struct
 import subprocess
 import sys
 
@@ -52,12 +53,30 @@ def test_conv_backends_agree_bitwise(a, b):
 
 
 @needs_compiled
-@given(_rows)
-def test_series_product_backends_agree_bitwise(rows):
+@given(_rows, st.data())
+def test_series_product_backends_agree_bitwise(rows, data):
     order = len(rows) - 1
-    assert _compiled.series_product(rows, rows, order) == _kernels_py.series_product(
-        rows, rows, order
-    )
+    start = data.draw(st.integers(0, order), label="start")
+    assert _compiled.series_product(
+        rows, rows, order, start=start
+    ) == _kernels_py.series_product(rows, rows, order, start=start)
+
+
+@given(st.data())
+def test_series_product_start_returns_the_tail_bitwise(data):
+    # Row-only calls (start=order) are how the solver advances one order at
+    # a time, so rows must not depend on which other rows were requested.
+    a = data.draw(_rows, label="a")
+    row = st.lists(_floats, min_size=1, max_size=6)
+    b = data.draw(st.lists(row, min_size=len(a), max_size=len(a)), label="b")
+    order = len(a) - 1
+    start = data.draw(st.integers(0, order), label="start")
+    tail = _kernels_py.series_product(a, b, order, start=start)
+    assert len(tail) == order + 1 - start
+    full = _kernels_py.series_product(a, b, order)[start:]
+    assert [[struct.pack("<d", c) for c in row] for row in tail] == [
+        [struct.pack("<d", c) for c in row] for row in full
+    ]
 
 
 @pytest.mark.parametrize("kernels", KERNELS)

@@ -1,15 +1,20 @@
 import math
+import struct
 
 import pytest
 
 from taylorpde import (
     ConfigError,
+    FIXTURES,
     SeriesSolution,
     TanhPoly,
+    TimeSeries,
     parse_system,
     residual,
     solve,
 )
+from taylorpde import _backend
+from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, Pow, Sub, eval_rhs
 
 
 class TestRecurrence:
@@ -131,3 +136,102 @@ def test_handmade_solution_residual_measures_imbalance():
     tampered = SeriesSolution(sys, 3, series, good.initial)
     wrong_sys = parse_system("u' = 2 * u")
     assert residual(wrong_sys, tampered) > 0.4
+
+
+# The whole-series evaluation that solve() ran before it advanced one row
+# per order: at every order j each node recomputes its rows 0..j with
+# TimeSeries arithmetic, and only row j is kept.  It is the reference the
+# row evaluator must match bit for bit.
+def _reference_eval_rhs(system, state, order):
+    trunc = [s.truncate(order) for s in state]
+    deriv_cache = {}
+
+    def ev(node):
+        if isinstance(node, Const):
+            return TimeSeries.constant(float(node.value), order)
+        if isinstance(node, Field):
+            return trunc[node.index]
+        if isinstance(node, Deriv):
+            key = (node.index, node.order)
+            if key not in deriv_cache:
+                deriv_cache[key] = trunc[node.index].dx(node.order)
+            return deriv_cache[key]
+        if isinstance(node, Add):
+            return ev(node.left) + ev(node.right)
+        if isinstance(node, Sub):
+            return ev(node.left) - ev(node.right)
+        if isinstance(node, Mul):
+            return ev(node.left).mul(ev(node.right), order)
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Pow):
+            base = ev(node.base)
+            out = base
+            for _ in range(node.exponent - 1):
+                out = out.mul(base, order)
+            return out
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return tuple(ev(eq) for eq in system.equations)
+
+
+def _reference_solve(system, initial, order):
+    columns = [[p] for p in initial]
+    for j in range(order):
+        state = [TimeSeries(col) for col in columns]
+        rhs = _reference_eval_rhs(system, state, j)
+        for col, r in zip(columns, rhs):
+            col.append(r.coeffs[j] / (j + 1))
+    return tuple(TimeSeries(col) for col in columns)
+
+
+def _bits(series):
+    """Every coefficient as its IEEE bytes, so the sign of zero counts."""
+    return [[[struct.pack("<d", c) for c in p.coeffs] for p in s.coeffs] for s in series]
+
+
+_SYSTEMS = {name: (fx.system, fx.initial, 20) for name, fx in FIXTURES.items()}
+_SYSTEMS["kdv"] = (parse_system("u' = -6*u*u_x - u_xxx"), [TanhPoly([2, 0, -2])], 15)
+_SYSTEMS["mixed"] = (
+    parse_system(
+        "u' = -(u - v)^3 * 1/4 + v * u_xx - 1/50 * d_x^4(u)\n"
+        "v' = 3/2 * u * v_x - v^2 - u\n"
+    ),
+    [TanhPoly([0, 0.5]), TanhPoly([1, -0.25])],
+    12,
+)
+# series_product calls per order: one per Mul, exponent - 1 per Pow.
+_PRODUCTS_PER_ORDER = {"riccati": 2, "coupled": 8, "transport": 3, "kdv": 2, "mixed": 8}
+
+
+@pytest.mark.parametrize("name", list(_SYSTEMS))
+def test_row_evaluator_matches_whole_series_evaluation_bitwise(name):
+    system, initial, order = _SYSTEMS[name]
+    expected = _reference_solve(system, initial, order)
+    sol = solve(system, initial, order)
+    assert _bits(sol.series) == _bits(expected)
+    assert _bits(eval_rhs(system, expected, order)) == _bits(
+        _reference_eval_rhs(system, expected, order)
+    )
+
+
+@pytest.mark.parametrize("name", list(_SYSTEMS))
+def test_each_order_computes_one_product_row(name, monkeypatch):
+    # Taylor mode: order j multiplies only row j of every product, so a
+    # solve to order N makes N row-only kernel calls per product and the
+    # work stays quadratic in N.
+    system, initial, order = _SYSTEMS[name]
+    kernel = _backend.series_product
+    calls = []
+
+    def recording(*args, **kwargs):
+        rows = kernel(*args, **kwargs)
+        calls.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(_backend, "series_product", recording)
+    sol = solve(system, initial, order)
+    assert calls == [1] * order * _PRODUCTS_PER_ORDER[name]
+    calls.clear()
+    residual(system, sol)
+    assert calls == [1] * order * _PRODUCTS_PER_ORDER[name]
