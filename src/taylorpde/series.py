@@ -6,8 +6,9 @@ gives degree d+1.  A TimeSeries is a truncated power series in t whose
 coefficients are TanhPoly values; products are Cauchy products cut at an
 explicit truncation order, never silently extended.
 
-All coefficient storage is float.  Multiplication goes through the kernel
-backend so the compiled and pure implementations stay interchangeable.
+All coefficient storage is float.  Multiplication goes through the
+kernels in _backend, which skip zero coefficients and so need finite
+inputs to give the dense loops' bits.
 """
 
 from __future__ import annotations

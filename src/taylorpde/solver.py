@@ -12,15 +12,24 @@ row of every product and derivative (Taylor mode: a solve to order N
 multiplies O(N^2) pairs of rows, not O(N^3)).  Earlier coefficients
 never change: extending a solve to a higher order reproduces the
 lower-order coefficients bitwise.
+
+The product kernels skip zero coefficients, which gives the dense
+loops' bits only while every coefficient is finite (a skipped 0*inf
+would have been nan).  solve() therefore checks each row as it is made
+and raises on the first inf or nan instead of returning it as a number.
+An overflow inside a right-hand side reaches the new row unless it is
+multiplied by a row that is exactly zero; there the skip gives the
+exact product, zero, where the dense loops gave nan.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dsl import PdeSystem, RowEvaluator, eval_rhs
-from .errors import ConfigError
+from .errors import ConfigError, TaylorPdeError
 from .series import TanhPoly, TimeSeries
 
 
@@ -59,19 +68,34 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
 
     `initial` holds one tanh-polynomial profile per field (TanhPoly or a
     coefficient iterable).  Raising the order only appends coefficients;
-    the shared prefix is bitwise identical between runs.
+    the shared prefix is bitwise identical between runs.  A TaylorPdeError
+    names the order and field of the first inf or nan coefficient, in the
+    profiles or in any row the recurrence makes (float KdV from 2 - 2w^2
+    overflows at order 78).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     profiles = _as_initial(initial, len(system.fields))
+    _check_finite(system, 0, profiles)
     columns = [[p] for p in profiles]
     rhs = RowEvaluator(system)
     for j in range(order):
-        for col, r in zip(columns, rhs.advance([col[j] for col in columns])):
-            col.append(r / (j + 1))
+        rows = [r / (j + 1) for r in rhs.advance([col[j] for col in columns])]
+        _check_finite(system, j + 1, rows)
+        for col, r in zip(columns, rows):
+            col.append(r)
     return SeriesSolution(
         system, order, tuple(TimeSeries(col) for col in columns), tuple(profiles)
     )
+
+
+def _check_finite(system: PdeSystem, j: int, rows: Sequence[TanhPoly]) -> None:
+    for field, row in zip(system.fields, rows):
+        for p, c in enumerate(row.coeffs):
+            if not math.isfinite(c):
+                raise TaylorPdeError(
+                    f"order {j} of field {field} is not finite: coefficient of w^{p} is {c!r}"
+                )
 
 
 def residual(system: PdeSystem, solution: SeriesSolution) -> float:

@@ -192,3 +192,10 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert "degenerate" in proc.stderr
+
+    def test_non_finite_row_exits_3(self, tmp_path):
+        path = tmp_path / "kdv.pde"
+        path.write_text("u' = -6*u*u_x - u_xxx\n")
+        proc = run("solve", "--system", str(path), "--init", "2,0,-2", "--order", "80")
+        assert proc.returncode == 3
+        assert "order 78 of field u is not finite" in proc.stderr

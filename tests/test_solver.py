@@ -8,6 +8,7 @@ from taylorpde import (
     FIXTURES,
     SeriesSolution,
     TanhPoly,
+    TaylorPdeError,
     TimeSeries,
     parse_system,
     residual,
@@ -63,6 +64,22 @@ class TestRecurrence:
             ConfigError, match="^system has 3 fields but 2 initial profiles were given$"
         ):
             solve(coupled.system, coupled.initial[:2], 3)
+
+    def test_first_non_finite_row_raises(self):
+        # Float KdV from 2 sech^2 overflows at order 78; order 77 is finite.
+        kdv = parse_system("u' = -6*u*u_x - u_xxx\n")
+        initial = [TanhPoly([2.0, 0.0, -2.0])]
+        sol = solve(kdv, initial, 77)
+        assert all(math.isfinite(c) for p in sol.series[0].coeffs for c in p.coeffs)
+        with pytest.raises(TaylorPdeError, match="order 78 of field u") as err:
+            solve(kdv, initial, 80)
+        assert type(err.value) is TaylorPdeError
+
+    def test_non_finite_profile_raises(self, coupled):
+        initial = list(coupled.initial)
+        initial[1] = TanhPoly([1.0, math.inf])
+        with pytest.raises(TaylorPdeError, match="order 0 of field v .* w\\^1 is inf"):
+            solve(coupled.system, initial, 3)
 
     def test_initial_accepts_plain_lists(self, riccati):
         sol = solve(riccati.system, [[0.0, 1.0]], 2)
