@@ -12,7 +12,6 @@ from .errors import (
     ParseError,
     PoleEvaluationError,
     TaylorPdeError,
-    TruncationError,
 )
 from .fixtures import FIXTURES, Fixture
 from .pade import PadeApproximant, pade_fit
@@ -47,7 +46,6 @@ __all__ = [
     "TaylorPdeError",
     "TimeSeries",
     "TravelingWave",
-    "TruncationError",
     "builtin_waves",
     "divergence_figure",
     "empirical_radius",

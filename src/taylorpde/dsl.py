@@ -26,6 +26,7 @@ are ordered by the appearance of their defining equations.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from . import _backend
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, TaylorPdeError
 from .series import TanhPoly, TimeSeries
 
 
@@ -397,6 +398,15 @@ def _wrap(node: Node, minprec: int, fields: Sequence[str], unary_ok: bool = Fals
     return f"({text})"
 
 
+def _check_finite(fields: Sequence[str], j: int, rows: Sequence[TanhPoly]) -> None:
+    for field, row in zip(fields, rows):
+        for p, c in enumerate(row.coeffs):
+            if not math.isfinite(c):
+                raise TaylorPdeError(
+                    f"order {j} of field {field} is not finite: coefficient of w^{p} is {c!r}"
+                )
+
+
 class RowEvaluator:
     """The right-hand sides of a system, evaluated one order in t at a time.
 
@@ -409,9 +419,14 @@ class RowEvaluator:
     and a spatial derivative of the new state row is taken once per
     (field, derivative order).  A row is the same float sequence that the
     full truncated Cauchy product gives, whatever order is reached.
+
+    The kernels skip zero factors, which matches the dense loops only on
+    finite rows, so advance() raises a TaylorPdeError naming the order and
+    field of the first inf or nan coefficient it is given.
     """
 
     def __init__(self, system: PdeSystem):
+        self._fields = system.fields
         self._state: list[list[TanhPoly]] = [[] for _ in system.fields]
         self._steps: list[Callable[[int], None]] = []  # operands first
         self._derivs: dict[tuple[int, int], list[TanhPoly]] = {}
@@ -420,6 +435,7 @@ class RowEvaluator:
 
     def advance(self, row: Sequence[TanhPoly]) -> tuple[TanhPoly, ...]:
         j = self._order
+        _check_finite(self._fields, j, row)
         for rows, p in zip(self._state, row):
             rows.append(p)
         for step in self._steps:
@@ -486,10 +502,9 @@ def _dx(p: TanhPoly, k: int) -> TanhPoly:
 def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tuple[TimeSeries, ...]:
     """Evaluate every right-hand side on a state vector of series.
 
-    Each result is truncated at exactly `order`.  The order-j coefficient
-    of a result reads only state coefficients 0..j, so the rows are built
-    in increasing j with a RowEvaluator, each order computing only its own
-    row; products are cut at `order` rather than extended.
+    Each result is truncated at exactly `order` and reads state
+    coefficients 0..order only, one row per order through a RowEvaluator,
+    so every state series must carry at least order+1 of them.
     """
     if len(state) != len(system.fields):
         raise ConfigError(
@@ -497,7 +512,12 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
         )
     if order < 0:
         raise ValueError("order must be nonnegative")
-    trunc = [s.truncate(order) for s in state]
+    for field, s in zip(system.fields, state):
+        if s.order < order:
+            raise ConfigError(
+                f"field {field} has order {s.order}; evaluating to order {order} "
+                f"needs {order + 1} coefficients"
+            )
     evaluator = RowEvaluator(system)
-    rows = [evaluator.advance([s.coeffs[j] for s in trunc]) for j in range(order + 1)]
+    rows = [evaluator.advance([s.coeffs[j] for s in state]) for j in range(order + 1)]
     return tuple(TimeSeries(col) for col in zip(*rows))

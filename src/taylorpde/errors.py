@@ -13,10 +13,6 @@ class TaylorPdeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class TruncationError(TaylorPdeError):
-    """A series operation asked for more orders than its inputs carry."""
-
-
 class ParseError(TaylorPdeError):
     """Source text for a system could not be parsed.
 

@@ -1,14 +1,14 @@
-"""Arithmetic for truncated time-power series over tanh polynomials.
+"""Storage for truncated time-power series over tanh polynomials.
 
 A TanhPoly is a polynomial in w = tanh(x).  The family is closed under
 d/dx because dw/dx = 1 - w**2, so differentiating a degree-d polynomial
-gives degree d+1.  A TimeSeries is a truncated power series in t whose
-coefficients are TanhPoly values; products are Cauchy products cut at an
-explicit truncation order, never silently extended.
+gives degree d+1.  A TimeSeries is a power series in t, truncated at a
+fixed order, whose coefficients are TanhPoly values; the solver stores
+its result as one TimeSeries per field and evaluates it at (x, t).
 
-All coefficient storage is float.  Multiplication goes through the
-kernels in _backend, which skip zero coefficients and so need finite
-inputs to give the dense loops' bits.
+All coefficient storage is float.  Products go through the kernels in
+_backend, which skip zero coefficients and so need finite inputs to give
+the dense loops' bits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from . import _backend
-from .errors import TruncationError
+from .errors import ConfigError
 from .waves import partial_sum
 
 _NUMBER = (int, float, Fraction)
@@ -62,15 +62,11 @@ class TanhPoly:
     def degree(self) -> int:
         return len(self._coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return self._coeffs == (0.0,)
-
     def max_abs(self) -> float:
         return max(abs(c) for c in self._coeffs)
 
-    def __add__(self, other: TanhPoly | int | float | Fraction) -> TanhPoly:
-        other = _as_poly(other)
-        if other is NotImplemented:
+    def __add__(self, other: TanhPoly) -> TanhPoly:
+        if not isinstance(other, TanhPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
@@ -80,32 +76,13 @@ class TanhPoly:
             out[i] += c
         return TanhPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> TanhPoly:
         return TanhPoly([-c for c in self._coeffs])
 
-    def __sub__(self, other: TanhPoly | int | float | Fraction) -> TanhPoly:
-        other = _as_poly(other)
-        if other is NotImplemented:
+    def __sub__(self, other: TanhPoly) -> TanhPoly:
+        if not isinstance(other, TanhPoly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: int | float | Fraction) -> TanhPoly:
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: TanhPoly | int | float | Fraction) -> TanhPoly:
-        if isinstance(other, _NUMBER):
-            s = float(other)
-            return TanhPoly([c * s for c in self._coeffs])
-        if isinstance(other, TanhPoly):
-            return TanhPoly(_backend.conv(self._coeffs, other._coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: int | float | Fraction) -> TanhPoly:
         if not isinstance(other, _NUMBER):
@@ -136,22 +113,13 @@ class TanhPoly:
         return f"TanhPoly({list(self._coeffs)!r})"
 
 
-def _as_poly(value: object) -> TanhPoly:
-    if isinstance(value, TanhPoly):
-        return value
-    if isinstance(value, _NUMBER):
-        return TanhPoly([value])
-    return NotImplemented
-
-
 class TimeSeries:
     """Power series in t with TanhPoly coefficients, truncated at a fixed
     order.
 
-    The order is len(coeffs) - 1 and is part of the value: operations
-    never extend it, and mul() demands an explicit target order no larger
-    than either factor supports.  Addition aligns factors by truncating to
-    the smaller order.
+    The order is len(coeffs) - 1 and is part of the value: nothing here
+    extends it, and mul() demands an explicit target order no larger
+    than either factor supports.
     """
 
     __slots__ = ("_coeffs",)
@@ -169,15 +137,6 @@ class TimeSeries:
             raise ValueError("a series needs at least the order-0 coefficient")
         self._coeffs = tuple(polys)
 
-    @classmethod
-    def constant(cls, value: int | float | Fraction | TanhPoly, order: int) -> TimeSeries:
-        head = value if isinstance(value, TanhPoly) else TanhPoly([value])
-        return cls([head] + [TanhPoly.zero()] * order)
-
-    @classmethod
-    def zero(cls, order: int) -> TimeSeries:
-        return cls.constant(0.0, order)
-
     @property
     def coeffs(self) -> tuple[TanhPoly, ...]:
         return self._coeffs
@@ -186,28 +145,19 @@ class TimeSeries:
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    def truncate(self, order: int) -> TimeSeries:
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if order > self.order:
-            raise TruncationError(
-                f"cannot truncate an order-{self.order} series at order {order}"
-            )
-        if order == self.order:
-            return self
-        return TimeSeries(self._coeffs[: order + 1])
-
     def mul(self, other: TimeSeries, order: int) -> TimeSeries:
         """Cauchy product truncated at the given order.
 
-        Raises TruncationError when either factor carries fewer than
-        order+1 coefficients: those products would be silently wrong.
+        Kept for the tests' bitwise reference and the benchmark's series.mul
+        span, which wraps it by name.  Raises ConfigError when either factor
+        carries fewer than order+1 coefficients: those products would be
+        silently wrong.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
         short = min(self.order, other.order)
         if order > short:
-            raise TruncationError(
+            raise ConfigError(
                 f"product truncated at order {order} needs both factors to "
                 f"carry {order + 1} coefficients; have orders "
                 f"{self.order} and {other.order}"
@@ -216,37 +166,6 @@ class TimeSeries:
         rows_b = [p.coeffs for p in other._coeffs]
         rows = _backend.series_product(rows_a, rows_b, order)
         return TimeSeries([TanhPoly(row) for row in rows])
-
-    def __mul__(self, other: TimeSeries) -> TimeSeries:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return self.mul(other, min(self.order, other.order))
-
-    def __add__(self, other: TimeSeries) -> TimeSeries:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TimeSeries(
-            [a + b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1])]
-        )
-
-    def __sub__(self, other: TimeSeries) -> TimeSeries:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> TimeSeries:
-        return TimeSeries([-p for p in self._coeffs])
-
-    def scale(self, factor: int | float | Fraction) -> TimeSeries:
-        return TimeSeries([p * factor for p in self._coeffs])
-
-    def integrate(self) -> TimeSeries:
-        """Antiderivative in t with zero constant term; order grows by 1."""
-        out = [TanhPoly.zero()]
-        for j, p in enumerate(self._coeffs):
-            out.append(p / (j + 1))
-        return TimeSeries(out)
 
     def dx(self, k: int = 1) -> TimeSeries:
         if k < 1:

@@ -15,8 +15,9 @@ lower-order coefficients bitwise.
 
 The product kernels skip zero coefficients, which gives the dense
 loops' bits only while every coefficient is finite (a skipped 0*inf
-would have been nan).  solve() therefore checks each row as it is made
-and raises on the first inf or nan instead of returning it as a number.
+would have been nan).  RowEvaluator.advance() therefore checks every row
+it is given, solve() and residual() check the last row as well, and all
+raise on the first inf or nan instead of returning it as a number.
 An overflow inside a right-hand side reaches the new row unless it is
 multiplied by a row that is exactly zero; there the skip gives the
 exact product, zero, where the dense loops gave nan.
@@ -24,12 +25,11 @@ exact product, zero, where the dense loops gave nan.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .dsl import PdeSystem, RowEvaluator, eval_rhs
-from .errors import ConfigError, TaylorPdeError
+from .dsl import PdeSystem, RowEvaluator, _check_finite, eval_rhs
+from .errors import ConfigError
 from .series import TanhPoly, TimeSeries
 
 
@@ -76,26 +76,16 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
     if order < 1:
         raise ValueError("order must be at least 1")
     profiles = _as_initial(initial, len(system.fields))
-    _check_finite(system, 0, profiles)
     columns = [[p] for p in profiles]
     rhs = RowEvaluator(system)
     for j in range(order):
         rows = [r / (j + 1) for r in rhs.advance([col[j] for col in columns])]
-        _check_finite(system, j + 1, rows)
         for col, r in zip(columns, rows):
             col.append(r)
+    _check_finite(system.fields, order, [col[order] for col in columns])
     return SeriesSolution(
         system, order, tuple(TimeSeries(col) for col in columns), tuple(profiles)
     )
-
-
-def _check_finite(system: PdeSystem, j: int, rows: Sequence[TanhPoly]) -> None:
-    for field, row in zip(system.fields, rows):
-        for p, c in enumerate(row.coeffs):
-            if not math.isfinite(c):
-                raise TaylorPdeError(
-                    f"order {j} of field {field} is not finite: coefficient of w^{p} is {c!r}"
-                )
 
 
 def residual(system: PdeSystem, solution: SeriesSolution) -> float:
@@ -108,10 +98,12 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     same system gives exactly 0.0, since the same floating-point
     operations are replayed.  Passing a different system measures how far
     the series is from satisfying it, which is how the fixtures'
-    exact-solution claims are verified.
+    exact-solution claims are verified.  A TaylorPdeError names the order
+    and field of the first inf or nan coefficient, as in solve().
     """
     n = solution.order
     rhs = eval_rhs(system, solution.series, n - 1)
+    _check_finite(system.fields, n, [s.coeffs[n] for s in solution.series])
     worst = 0.0
     for s, r in zip(solution.series, rhs):
         for j in range(n):

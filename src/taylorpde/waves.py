@@ -101,7 +101,7 @@ def partial_sum(coeffs: Sequence[float], t: float) -> float:
 _FIT_TAIL = 8
 
 
-def empirical_radius(coeffs) -> float:
+def empirical_radius(coeffs: Sequence[float]) -> float:
     """Estimate a convergence radius from scalar coefficients alone.
 
     Ratio (Domb-Sykes) method: successive nonzero coefficients give
@@ -111,12 +111,10 @@ def empirical_radius(coeffs) -> float:
     The constant term c_0 is ignored (an offset shifts no pole), and
     sparsity (every-other-order zeros) is handled by the per-pair root.
 
-    Accepts a plain float sequence or a TimeSeries whose coefficients are
-    all degree 0.  Raises InsufficientDataError for fewer than 9
-    coefficients, fewer than three usable ratios, or a non-positive
-    extrapolated limit.
+    Raises InsufficientDataError for fewer than 9 coefficients, fewer than
+    three usable ratios, or a non-positive extrapolated limit.
     """
-    c = _scalar_coeffs(coeffs)
+    c = [float(v) for v in coeffs]
     n = len(c) - 1
     if n < 8:
         raise InsufficientDataError(f"radius estimation needs order >= 8, got {n}")
@@ -146,17 +144,3 @@ def empirical_radius(coeffs) -> float:
     if intercept <= 0.0:
         raise InsufficientDataError("coefficient ratios do not extrapolate to a finite radius")
     return 1.0 / intercept
-
-
-def _scalar_coeffs(coeffs) -> list[float]:
-    # Late import: waves must stay importable without the series core.
-    from .series import TimeSeries
-
-    if isinstance(coeffs, TimeSeries):
-        out = []
-        for p in coeffs.coeffs:
-            if p.degree > 0:
-                raise ValueError("radius estimation needs scalar coefficients")
-            out.append(p.coeffs[0])
-        return out
-    return [float(v) for v in coeffs]

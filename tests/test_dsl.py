@@ -7,7 +7,6 @@ from taylorpde import (
     ParseError,
     TanhPoly,
     TimeSeries,
-    TruncationError,
     eval_rhs,
     parse_system,
     pretty,
@@ -187,7 +186,10 @@ class TestEvalRhs:
 
     def test_state_order_checked(self):
         sys = parse_system("u' = u")
-        with pytest.raises(TruncationError):
+        with pytest.raises(
+            ConfigError,
+            match="^field u has order 0; evaluating to order 2 needs 3 coefficients$",
+        ):
             eval_rhs(sys, [TimeSeries([1.0])], 2)
 
     def test_additive_nodes_are_linear(self):
@@ -195,9 +197,9 @@ class TestEvalRhs:
         state = [
             TimeSeries([TanhPoly([0.0, 1.0]), TanhPoly([2.0])]),
             TimeSeries([TanhPoly([1.0, -1.0]), TanhPoly([0.5])]),
-            TimeSeries.zero(1),
-            TimeSeries.zero(1),
-            TimeSeries.zero(1),
+            TimeSeries([0.0, 0.0]),
+            TimeSeries([0.0, 0.0]),
+            TimeSeries([0.0, 0.0]),
         ]
         u, v, w, s, n = eval_rhs(sys, state, 1)
         assert w.coeffs == tuple(a + b for a, b in zip(u.coeffs, v.coeffs))
@@ -208,5 +210,5 @@ class TestEvalRhs:
         sys = parse_system("u' = u_xx")
         full = TimeSeries([TanhPoly([0.0, 1.0]), TanhPoly([0.5, 0.5]), TanhPoly([1.0])])
         (da,) = eval_rhs(sys, [full], 1)
-        (db,) = eval_rhs(sys, [full.truncate(1)], 1)
+        (db,) = eval_rhs(sys, [TimeSeries(full.coeffs[:2])], 1)
         assert da == db

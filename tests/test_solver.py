@@ -33,7 +33,7 @@ class TestRecurrence:
         sys = parse_system("u' = 0")
         sol = solve(sys, [TanhPoly([0.3, 0.7])], 4)
         assert sol.series[0].coeffs[0] == TanhPoly([0.3, 0.7])
-        assert all(p.is_zero() for p in sol.series[0].coeffs[1:])
+        assert all(p == TanhPoly.zero() for p in sol.series[0].coeffs[1:])
 
     def test_linear_growth_matches_exponential(self):
         # u' = c*u from constant a has coefficients a*c^j/j!.
@@ -146,6 +146,28 @@ def test_third_order_derivative_system_runs():
     assert sol.series[0].coeffs[1].degree == 4
 
 
+@pytest.mark.parametrize(
+    ("row", "bad", "message"),
+    [
+        # Row 2 reaches the zero-skipping kernels through eval_rhs.
+        (2, [0.0, math.inf], "^order 2 of field v is not finite: coefficient of w\\^1 is inf$"),
+        # Row 3, the last, is only compared; a nan there can vanish in max().
+        (3, [math.nan, 1.0], "^order 3 of field v is not finite: coefficient of w\\^0 is nan$"),
+    ],
+    ids=["kernel-row", "last-row"],
+)
+def test_residual_raises_on_non_finite_stored_row(coupled, row, bad, message):
+    sol = solve(coupled.system, coupled.initial, 3)
+    series = list(sol.series)
+    rows = list(series[1].coeffs)
+    rows[row] = TanhPoly(bad)
+    series[1] = TimeSeries(rows)
+    tampered = SeriesSolution(coupled.system, 3, tuple(series), sol.initial)
+    with pytest.raises(TaylorPdeError, match=message) as err:
+        residual(coupled.system, tampered)
+    assert type(err.value) is TaylorPdeError
+
+
 def test_handmade_solution_residual_measures_imbalance():
     sys = parse_system("u' = u")
     good = solve(sys, [TanhPoly([1.0])], 3)
@@ -156,40 +178,47 @@ def test_handmade_solution_residual_measures_imbalance():
 
 
 # The whole-series evaluation that solve() ran before it advanced one row
-# per order: at every order j each node recomputes its rows 0..j with
-# TimeSeries arithmetic, and only row j is kept.  It is the reference the
-# row evaluator must match bit for bit.
+# per order: at every order j each node recomputes its rows 0..j, as a list
+# of TanhPoly rows with products through TimeSeries.mul, and only row j is
+# kept.  It is the reference the row evaluator must match bit for bit.
 def _reference_eval_rhs(system, state, order):
-    trunc = [s.truncate(order) for s in state]
+    trunc = [list(s.coeffs[: order + 1]) for s in state]
+    assert all(len(rows) == order + 1 for rows in trunc)
     deriv_cache = {}
+
+    def product(a, b):
+        return list(TimeSeries(a).mul(TimeSeries(b), order).coeffs)
 
     def ev(node):
         if isinstance(node, Const):
-            return TimeSeries.constant(float(node.value), order)
+            return [TanhPoly([float(node.value)])] + [TanhPoly.zero()] * order
         if isinstance(node, Field):
             return trunc[node.index]
         if isinstance(node, Deriv):
             key = (node.index, node.order)
             if key not in deriv_cache:
-                deriv_cache[key] = trunc[node.index].dx(node.order)
+                rows = trunc[node.index]
+                for _ in range(node.order):
+                    rows = [p.dx() for p in rows]
+                deriv_cache[key] = rows
             return deriv_cache[key]
         if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
+            return [a + b for a, b in zip(ev(node.left), ev(node.right))]
         if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
+            return [a - b for a, b in zip(ev(node.left), ev(node.right))]
         if isinstance(node, Mul):
-            return ev(node.left).mul(ev(node.right), order)
+            return product(ev(node.left), ev(node.right))
         if isinstance(node, Neg):
-            return -ev(node.operand)
+            return [-a for a in ev(node.operand)]
         if isinstance(node, Pow):
             base = ev(node.base)
             out = base
             for _ in range(node.exponent - 1):
-                out = out.mul(base, order)
+                out = product(out, base)
             return out
         raise TypeError(f"not an expression node: {node!r}")
 
-    return tuple(ev(eq) for eq in system.equations)
+    return tuple(TimeSeries(ev(eq)) for eq in system.equations)
 
 
 def _reference_solve(system, initial, order):

@@ -6,7 +6,6 @@ import pytest
 from taylorpde import (
     ConfigError,
     InsufficientDataError,
-    TimeSeries,
     TravelingWave,
     builtin_waves,
     empirical_radius,
@@ -143,12 +142,3 @@ class TestEmpiricalRadius:
     def test_too_few_nonzero(self):
         with pytest.raises(InsufficientDataError):
             empirical_radius([1.0, 2.0] + [0.0] * 10)
-
-    def test_accepts_scalar_time_series(self):
-        series = TimeSeries([2.0**-j for j in range(17)])
-        assert empirical_radius(series) == pytest.approx(2.0, abs=1e-9)
-
-    def test_rejects_nonscalar_time_series(self):
-        series = TimeSeries([[0.0, 1.0]] * 12)
-        with pytest.raises(ValueError):
-            empirical_radius(series)
