@@ -94,11 +94,14 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
         # Degenerate rational: the truncated series itself.
         return PadeApproximant(tuple(c[: L + 1]), (1.0,), 1.0)
 
-    def cc(idx: int) -> float:
-        return c[idx] if idx >= 0 else 0.0
-
-    T = np.array([[cc(L + m - s) for s in range(1, M + 1)] for m in range(1, M + 1)])
-    rhs = np.array([-c[L + m] for m in range(1, M + 1)])
+    # T[m-1, s-1] = c[L + m - s] for m, s in 1..M, and +0.0 where that index
+    # is negative (it never reaches below -len(c), so numpy's wrap is masked).
+    carr = np.asarray(c)
+    steps = np.arange(1, M + 1)
+    idx = L + np.subtract.outer(steps, steps)
+    T = carr[idx]
+    T[idx < 0] = 0.0
+    rhs = -carr[L + 1 : L + M + 1]
     condition = float(np.linalg.cond(T))
     if not np.isfinite(condition) or condition > _COND_LIMIT:
         raise DegenerateSystemError(

@@ -5,6 +5,12 @@ in sorted (field, x, t, order) order, floats are formatted with repr-exact
 precision ('.17g'), and files use '\n' endings, so re-running a command
 reproduces identical bytes.  CSV metadata lives in leading '# key: value'
 comment lines and survives a parse round trip.
+
+to_csv writes each row with one %-template, built once per row type
+signature from a spec per cell: '%.17g' for a float, '%d' for an int and
+'%s' for a str (exact types only).  A row holding any other type (bool,
+numpy scalars, subclasses, Fraction) falls back to format_cell, cell by
+cell, so both paths give the same text and booleans are still refused.
 """
 
 from __future__ import annotations
@@ -51,11 +57,38 @@ class Table(NamedTuple):
     meta: tuple[tuple[str, str], ...] = ()
 
 
+# %-spec of each cell type a row template covers; each gives format_cell's text.
+_CELL_SPECS = {float: "%" + _FLOAT_FMT, int: "%d", str: "%s"}
+
+
+def _row_template(signature: tuple[type, ...]) -> str | None:
+    """%-template of a row with these exact cell types, or None when a type
+    needs format_cell."""
+    try:
+        return ",".join(_CELL_SPECS[kind] for kind in signature)
+    except KeyError:
+        return None
+
+
 def to_csv(table: Table) -> str:
+    """CSV text of `table`: '# key: value' metadata lines, the header, one
+    line per row, each line ending in '\\n'.
+
+    Every cell reads as format_cell writes it; booleans raise TypeError.
+    How rows are written is in the module docstring.
+    """
     lines = [f"# {key}: {value}" for key, value in table.meta]
     lines.append(",".join(table.columns))
+    templates: dict[tuple[type, ...], str | None] = {}
     for row in table.rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
+        signature = tuple(map(type, row))
+        if signature not in templates:
+            templates[signature] = _row_template(signature)
+        template = templates[signature]
+        if template is None:
+            lines.append(",".join(format_cell(cell) for cell in row))
+        else:
+            lines.append(template % (row if isinstance(row, tuple) else tuple(row)))
     return "\n".join(lines) + "\n"
 
 

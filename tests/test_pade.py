@@ -1,5 +1,7 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from taylorpde import (
@@ -9,6 +11,7 @@ from taylorpde import (
     TravelingWave,
     pade_fit,
     partial_sum,
+    solve,
 )
 
 KINK = TravelingWave(offset=0.0, amplitude=1.0, wavenumber=1.0, rate=5.5)
@@ -145,3 +148,66 @@ class TestKinkAcceleration:
         for m in (4, 6, 8):
             ap = pade_fit(KINK.taylor(0.0, 2 * m), m, m)
             assert abs(ap.poles()[0]) >= floor
+
+
+def _list_build_fit(c, L, M):
+    """pade_fit with the Toeplitz matrix built cell by cell from a nested
+    list comprehension; the reference for the indexed build."""
+    c = [float(v) for v in c]
+
+    def cc(idx):
+        return c[idx] if idx >= 0 else 0.0
+
+    T = np.array([[cc(L + m - s) for s in range(1, M + 1)] for m in range(1, M + 1)])
+    rhs = np.array([-c[L + m] for m in range(1, M + 1)])
+    condition = float(np.linalg.cond(T))
+    if not np.isfinite(condition) or condition > 1e12:
+        raise DegenerateSystemError("condition")
+    try:
+        q = np.linalg.solve(T, rhs)
+    except np.linalg.LinAlgError:
+        raise DegenerateSystemError("singular") from None
+    den = [1.0] + [float(v) for v in q]
+    num = []
+    for k in range(L + 1):
+        acc = c[k]
+        for s in range(1, min(k, M) + 1):
+            acc += den[s] * c[k - s]
+        num.append(acc)
+    return tuple(num), tuple(den), condition
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+# The benchmark's sweep, where every Toeplitz index is >= 0, plus pairs with
+# M > L + 1, whose upper-right cells sit before the series and must be +0.0.
+_SWEEP_PAIRS = [
+    (L, M) for L in range(41) for M in (L - 1, L, L + 1) if M >= 1 and L + M <= 40
+] + [(L, M) for L in range(5) for M in range(L + 2, L + 6)]
+
+
+@pytest.fixture(scope="module")
+def riccati40(riccati):
+    return solve(riccati.system, riccati.initial, 40)
+
+
+@pytest.mark.parametrize("x", [0.0, 1.3, -3.1])
+def test_indexed_toeplitz_matches_list_build_bitwise(riccati40, x):
+    coeffs = [p(x) for p in riccati40.series[0].coeffs]
+    refused = 0
+    for L, M in _SWEEP_PAIRS:
+        try:
+            num, den, condition = _list_build_fit(coeffs, L, M)
+        except DegenerateSystemError:
+            refused += 1
+            with pytest.raises(DegenerateSystemError):
+                pade_fit(coeffs, L, M)
+            continue
+        ap = pade_fit(coeffs, L, M)
+        assert _bits(ap.num) == _bits(num), (L, M)
+        assert _bits(ap.den) == _bits(den), (L, M)
+        assert _bits([ap.condition]) == _bits([condition]), (L, M)
+    # Both outcomes are exercised: high orders are ill-conditioned.
+    assert 0 < refused < len(_SWEEP_PAIRS)

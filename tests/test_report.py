@@ -1,7 +1,12 @@
 import inspect
 import math
+from fractions import Fraction
+from itertools import zip_longest
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taylorpde import (
     ConfigError,
@@ -14,6 +19,7 @@ from taylorpde import (
     to_csv,
 )
 from taylorpde import report
+from taylorpde.report import format_cell
 
 PAPER_XS = (-15.0, -10.0, -5.0, 5.0, 10.0)
 PAPER_TS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -232,6 +238,109 @@ class TestCsv:
     def test_missing_header(self):
         with pytest.raises(ConfigError):
             from_csv("")
+
+
+def _per_cell_csv(table):
+    """The writer to_csv replaces, one format_cell call per cell; kept as
+    the byte-for-byte reference."""
+    lines = [f"# {key}: {value}" for key, value in table.meta]
+    lines.append(",".join(table.columns))
+    for row in table.rows:
+        lines.append(",".join(format_cell(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_csv(table):
+    """to_csv(table) equals the per-cell writer's text; a mismatch names its
+    first differing line (a diff of megabyte strings would take minutes)."""
+    got = to_csv(table)
+    want = _per_cell_csv(table)
+    if got != want:
+        pairs = zip_longest(got.split("\n"), want.split("\n"))
+        line, (a, b) = next((i, ab) for i, ab in enumerate(pairs) if ab[0] != ab[1])
+        pytest.fail(f"line {line}: to_csv wrote {a!r}, per-cell writer {b!r}")
+
+
+class _TaggedInt(int):
+    """An int subclass whose text differs from '%d', so a row holding one
+    shows whether it went through format_cell."""
+
+    def __str__(self):
+        return f"n{int(self)}"
+
+
+_special_floats = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, 1e20]
+)
+_CELLS = {
+    "float": st.one_of(st.floats(), _special_floats),
+    "int": st.one_of(
+        st.integers(),
+        st.integers(min_value=2**64, max_value=2**200),
+        st.integers(min_value=-(2**200), max_value=-1),
+    ),
+    "str": st.text(st.characters(exclude_characters=","), max_size=8),
+    "other": st.one_of(
+        st.one_of(st.floats(), _special_floats).map(np.float64),
+        st.integers(min_value=-(2**70), max_value=2**70).map(_TaggedInt),
+        st.fractions(),
+    ),
+}
+
+
+@st.composite
+def _mixed_tables(draw):
+    """Tables whose rows come from a few shapes (sequences of cell kinds),
+    so type signatures repeat, given as tuples or lists."""
+    shapes = draw(
+        st.lists(st.lists(st.sampled_from(sorted(_CELLS)), max_size=6), min_size=1, max_size=3)
+    )
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        cells = [draw(_CELLS[kind]) for kind in draw(st.sampled_from(shapes))]
+        rows.append(tuple(cells) if draw(st.booleans()) else cells)
+    return Table(("a", "b"), tuple(rows), (("k", "v"),))
+
+
+class TestRowTemplates:
+    """to_csv writes rows through cached %-templates; every byte must equal
+    the per-cell writer's."""
+
+    @given(_mixed_tables())
+    def test_matches_per_cell_writer(self, table):
+        _assert_same_csv(table)
+
+    def test_known_cells(self):
+        row = (-0.0, math.nan, -math.inf, 5e-324, 1e300, 10**20, -(2**70), "w", 0.1 + 0.2)
+        table = Table(("c",), (row, list(row)))
+        line = "-0,nan,-inf,4.9406564584124654e-324,1.0000000000000001e+300,"
+        line += "100000000000000000000,-1180591620717411303424,w,0.30000000000000004"
+        assert to_csv(table) == f"c\n{line}\n{line}\n"
+        _assert_same_csv(table)
+
+    def test_subclass_cells_use_format_cell(self):
+        table = Table(("a", "b"), ((1, 2), (1, _TaggedInt(2)), [np.float64(0.5), Fraction(1, 3)]))
+        assert to_csv(table) == "a,b\n1,2\n1,n2\n0.5,1/3\n"
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    @pytest.mark.parametrize("position", range(4))
+    def test_bool_anywhere_rejected(self, position, as_list):
+        row = [1.5, 7, "s"]
+        row.insert(position, True)
+        table = Table(("a",), ((2.5, 3, "t", 4), row if as_list else tuple(row)))
+        with pytest.raises(TypeError, match="^boolean cells are not supported$"):
+            to_csv(table)
+
+    def test_benchmark_error_table_matches_per_cell_writer(self):
+        xs = tuple(-10.0 + 0.5 * k for k in range(41))
+        ts = tuple(0.0125 * k for k in range(1, 41))
+        table = error_table("coupled", (5, 10, 15, 20), xs, ts)
+        assert len(table.rows) == 3 * 41 * 40 * 4
+        _assert_same_csv(table)
+
+    def test_pade_figure_matches_per_cell_writer(self):
+        table = divergence_figure("riccati", (5, 15, 25), pade=(7, 8), samples=2001)
+        _assert_same_csv(table)
 
 
 class TestSvg:
