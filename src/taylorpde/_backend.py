@@ -40,7 +40,7 @@ def conv(a, b):
     return out
 
 
-def series_product(a, b, order, start=0):
+def series_product(a, b, order, start=0, nonzero=None):
     """Rows start..order of the Cauchy product of two lists of finite
     coefficient lists.
 
@@ -49,9 +49,19 @@ def series_product(a, b, order, start=0):
     terms that have a zero factor skipped (see the module docstring).  A
     row does not depend on which other rows are asked for, so
     series_product(a, b, n, start=k) == series_product(a, b, n)[k:].
+
+    nonzero, if given, is the pair (nz_a, nz_b) where nz_a[i] is
+    _nonzero(a[i]) and nz_b[i] is _nonzero(b[i]) for rows 0..order at
+    least.  A caller that extends a and b one order at a time keeps these
+    lists and appends one entry per new row, so each row is scanned for
+    nonzeros once instead of once per call; without them the lists are
+    built here from rows 0..order.
     """
-    nz_a = [_nonzero(row) for row in a[: order + 1]]
-    nz_b = [_nonzero(row) for row in b[: order + 1]]
+    if nonzero is None:
+        nz_a = [_nonzero(row) for row in a[: order + 1]]
+        nz_b = [_nonzero(row) for row in b[: order + 1]]
+    else:
+        nz_a, nz_b = nonzero
     out = []
     for k in range(start, order + 1):
         width = 1

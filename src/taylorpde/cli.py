@@ -20,6 +20,7 @@ as a flag.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -33,12 +34,19 @@ from .solver import residual, solve
 from .waves import builtin_waves
 
 
+def _require_finite(values: tuple[float, ...], flag: str, text: str) -> tuple[float, ...]:
+    """The values, or a ConfigError when any of them is inf or nan."""
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag} must be finite, got {text!r}")
+    return values
+
+
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    return values
+    return _require_finite(values, flag, text)
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -60,6 +68,7 @@ def _parse_trange(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--t range must be numeric, got {text!r}") from None
+    _require_finite((start, stop, step), "--t", text)
     if step <= 0 or stop < start:
         raise ConfigError("--t range needs step > 0 and stop >= start")
     # Floor, so the range never runs past stop; the tolerance keeps a stop
@@ -135,6 +144,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    _require_finite((args.x,), "--x", str(args.x))
+    _require_finite((args.t_max,), "--t-max", str(args.t_max))
     pade = None
     if args.pade is not None:
         orders = _parse_ints(args.pade, "--pade")

@@ -417,8 +417,10 @@ class RowEvaluator:
     only its own row: a product row is sum_i a_i * b_(j-i) over the stored
     rows of its factors, a power appends one product row per extra factor,
     and a spatial derivative of the new state row is taken once per
-    (field, derivative order).  A row is the same float sequence that the
-    full truncated Cauchy product gives, whatever order is reached.
+    (field, derivative order).  A product also keeps the nonzero terms of
+    each factor row, so every factor row is scanned for nonzeros once, not
+    once per later order.  A row is the same float sequence that the full
+    truncated Cauchy product gives, whatever order is reached.
 
     The kernels skip zero factors, which matches the dense loops only on
     finite rows, so advance() raises a TaylorPdeError naming the order and
@@ -484,11 +486,16 @@ class RowEvaluator:
     def _product(self, a: list[TanhPoly], b: list[TanhPoly]) -> list[TanhPoly]:
         rows_a: list[tuple[float, ...]] = []
         rows_b: list[tuple[float, ...]] = []
+        nonzero: tuple[list[list[tuple[int, float]]], ...] = ([], [])
 
         def row(j: int) -> TanhPoly:
             rows_a.append(a[j].coeffs)
             rows_b.append(b[j].coeffs)
-            return TanhPoly(_backend.series_product(rows_a, rows_b, j, start=j)[0])
+            nonzero[0].append(_backend._nonzero(rows_a[j]))
+            nonzero[1].append(_backend._nonzero(rows_b[j]))
+            return TanhPoly(
+                _backend.series_product(rows_a, rows_b, j, start=j, nonzero=nonzero)[0]
+            )
 
         return self._node(row)
 

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from . import _backend
-from .errors import ConfigError
+from .errors import ConfigError, TaylorPdeError
 from .waves import partial_sum
 
 _NUMBER = (int, float, Fraction)
@@ -151,7 +151,9 @@ class TimeSeries:
         Kept for the tests' bitwise reference and the benchmark's series.mul
         span, which wraps it by name.  Raises ConfigError when either factor
         carries fewer than order+1 coefficients: those products would be
-        silently wrong.
+        silently wrong.  The kernel skips zero factors, which matches the
+        dense product only on finite rows, so a TaylorPdeError names the
+        first inf or nan coefficient in rows 0..order of either factor.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -164,6 +166,14 @@ class TimeSeries:
             )
         rows_a = [p.coeffs for p in self._coeffs]
         rows_b = [p.coeffs for p in other._coeffs]
+        for side, rows in (("left", rows_a), ("right", rows_b)):
+            for j, row in enumerate(rows[: order + 1]):
+                for p, c in enumerate(row):
+                    if not math.isfinite(c):
+                        raise TaylorPdeError(
+                            f"order {j} of the {side} factor is not finite: "
+                            f"coefficient of w^{p} is {c!r}"
+                        )
         rows = _backend.series_product(rows_a, rows_b, order)
         return TimeSeries([TanhPoly(row) for row in rows])
 

@@ -9,6 +9,9 @@ CLI = [sys.executable, "-m", "taylorpde.cli"]
 # Stands for a system file, written per test, whose equation names an
 # undefined field: `u' = w_x`.
 UNKNOWN_FIELD_FILE = "<unknown-field.pde>"
+# Stands for an output directory under the test's tmp_path, which a
+# rejected command must not create.
+OUT_DIR = "<out>"
 
 
 def run(*args, cwd=None):
@@ -151,18 +154,29 @@ class TestExitCodes:
             ("solve", "--fixture", "riccati", "--order", "0"),
             ("solve", "--order", "3"),
             ("solve", "--system", "/nonexistent/x.pde", "--init", "0,1", "--order", "3"),
-            ("figure", "--fixture", "riccati", "--x", "0", "--t-max", "0", "--out", "/tmp/zz"),
-            ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "oops", "--out", "/tmp/zz"),
+            ("figure", "--fixture", "riccati", "--x", "0", "--t-max", "0", "--out", OUT_DIR),
+            ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "oops", "--out", OUT_DIR),
             ("solve", "--fixture", "coupled", "--init", "0,1", "--order", "3"),
             ("solve", "--system", UNKNOWN_FIELD_FILE, "--init", "0,1", "--order", "3"),
+            # Non-finite numbers are refused, not written as nan/inf rows.
+            ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "0:nan:0.1", "--out", OUT_DIR),
+            ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "0:inf:0.1", "--out", OUT_DIR),
+            ("table", "--fixture", "riccati", "--orders", "2", "--x=nan", "--t", "0.1,nan", "--out", OUT_DIR),
+            ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "0.1,nan", "--out", OUT_DIR),
+            ("figure", "--fixture", "riccati", "--t-max", "nan", "--out", OUT_DIR),
+            ("figure", "--fixture", "riccati", "--t-max", "inf", "--out", OUT_DIR),
+            ("figure", "--fixture", "riccati", "--x", "nan", "--out", OUT_DIR),
+            ("radius", "--x=nan,inf"),
         ],
     )
     def test_config_errors_exit_2(self, args, tmp_path):
         system = tmp_path / "unknown-field.pde"
         system.write_text("u' = w_x\n")
-        proc = run(*(str(system) if arg == UNKNOWN_FIELD_FILE else arg for arg in args))
+        paths = {UNKNOWN_FIELD_FILE: str(system), OUT_DIR: str(tmp_path / "out")}
+        proc = run(*(paths.get(arg, arg) for arg in args))
         assert proc.returncode == 2
         assert proc.stderr != ""
+        assert not (tmp_path / "out").exists()
         if UNKNOWN_FIELD_FILE in args:
             assert "line 1, column 6: unknown field 'w'" in proc.stderr
 

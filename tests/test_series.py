@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taylorpde import ConfigError, TanhPoly, TimeSeries, partial_sum
+from taylorpde import ConfigError, TanhPoly, TaylorPdeError, TimeSeries, partial_sum
 from taylorpde import _backend
 
 
@@ -152,6 +152,24 @@ class TestTimeSeries:
             r"coefficients; have orders 1 and 1$",
         ):
             a.mul(a, 2)
+
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            ([[1.0, math.inf]], [[0.0, 1.0]], r"^order 0 of the left factor .* w\^1 is inf$"),
+            ([[1.0], [2.0]], [[1.0], [0.0, math.nan]], r"^order 1 of the right factor .* w\^1 is nan$"),
+        ],
+        ids=["inf-left", "nan-right"],
+    )
+    def test_mul_rejects_non_finite_rows(self, left, right, message):
+        # The zero-skipping kernel would give (0.0, 1.0, inf) for the first
+        # case, where the dense IEEE product is (0.0, nan, inf).
+        with pytest.raises(TaylorPdeError, match=message):
+            TimeSeries(left).mul(TimeSeries(right), len(left) - 1)
+
+    def test_mul_reads_only_rows_up_to_order(self):
+        a = TimeSeries([[1.0], [math.nan]])
+        assert a.mul(a, 0).coeffs == (TanhPoly([1.0]),)
 
     def test_mul_prefix_stability(self):
         # Extending the truncation order never changes earlier coefficients.

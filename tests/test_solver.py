@@ -281,3 +281,26 @@ def test_each_order_computes_one_product_row(name, monkeypatch):
     calls.clear()
     residual(system, sol)
     assert calls == [1] * order * _PRODUCTS_PER_ORDER[name]
+
+
+# Systems without spatial derivatives, whose TanhPoly.dx scans rows in conv.
+@pytest.mark.parametrize("name", ["riccati", "coupled"])
+def test_each_factor_row_is_scanned_once(name, monkeypatch):
+    # Every product keeps the nonzero terms of its factor rows across
+    # orders, so a solve to order N scans 2 factor rows per product per
+    # order (riccati at N=20: 2 products x 2 factors x 20 = 80), not rows
+    # 0..j of both factors at every order j.
+    system, initial, order = _SYSTEMS[name]
+    scan = _backend._nonzero
+    calls = []
+
+    def recording(row):
+        calls.append(row)
+        return scan(row)
+
+    monkeypatch.setattr(_backend, "_nonzero", recording)
+    sol = solve(system, initial, order)
+    assert len(calls) == 2 * _PRODUCTS_PER_ORDER[name] * order
+    calls.clear()
+    residual(system, sol)
+    assert len(calls) == 2 * _PRODUCTS_PER_ORDER[name] * order
