@@ -86,11 +86,12 @@ def _parse_init(text: str) -> tuple[TanhPoly, ...]:
     profiles = []
     for chunk in text.split(";"):
         try:
-            profiles.append(TanhPoly([float(part) for part in chunk.split(",")]))
+            values = tuple(float(part) for part in chunk.split(","))
         except ValueError:
             raise ConfigError(
                 f"--init expects ';'-separated lists of comma-separated numbers, got {text!r}"
             ) from None
+        profiles.append(TanhPoly(_require_finite(values, "--init", text)))
     return tuple(profiles)
 
 
@@ -144,8 +145,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    _require_finite((args.x,), "--x", str(args.x))
-    _require_finite((args.t_max,), "--t-max", str(args.t_max))
     pade = None
     if args.pade is not None:
         orders = _parse_ints(args.pade, "--pade")

@@ -415,12 +415,14 @@ class RowEvaluator:
     of every right-hand side.  The expression trees are compiled once into
     nodes that keep the rows they have computed, so each order computes
     only its own row: a product row is sum_i a_i * b_(j-i) over the stored
-    rows of its factors, a power appends one product row per extra factor,
-    and a spatial derivative of the new state row is taken once per
-    (field, derivative order).  A product also keeps the nonzero terms of
-    each factor row, so every factor row is scanned for nonzeros once, not
-    once per later order.  A row is the same float sequence that the full
-    truncated Cauchy product gives, whatever order is reached.
+    rows of its factors.  Equal subexpressions are one node, computed once
+    per order: nodes are keyed by their operation and the identity of
+    their operand nodes, u^k is the product of u^(k-1) and u (so u^2 and
+    u*u are one node) and u_xx is the x-derivative of u_x.  A product also
+    keeps the nonzero terms of each factor row, so every factor row is
+    scanned for nonzeros once, not once per later order.  A row is the
+    same float sequence that the full truncated Cauchy product gives,
+    whatever order is reached.
 
     The kernels skip zero factors, which matches the dense loops only on
     finite rows, so advance() raises a TaylorPdeError naming the order and
@@ -431,7 +433,10 @@ class RowEvaluator:
         self._fields = system.fields
         self._state: list[list[TanhPoly]] = [[] for _ in system.fields]
         self._steps: list[Callable[[int], None]] = []  # operands first
-        self._derivs: dict[tuple[int, int], list[TanhPoly]] = {}
+        # Keyed by operation and the ids of the operands' row lists, which
+        # live as long as the evaluator, so an id is never reused.  Not
+        # keyed by the tree nodes: hashing one recurses through its subtree.
+        self._nodes: dict[tuple, list[TanhPoly]] = {}
         self._roots = tuple(self._compile(eq) for eq in system.equations)
         self._order = 0
 
@@ -451,36 +456,40 @@ class RowEvaluator:
             return self._state[node.index]
         if isinstance(node, Const):
             head = TanhPoly([float(node.value)])
-            return self._node(lambda j: head if j == 0 else TanhPoly.zero())
+            return self._node(("c", node.value), lambda j: head if j == 0 else TanhPoly.zero())
         if isinstance(node, Deriv):
-            key = (node.index, node.order)
-            if key not in self._derivs:
-                field = self._state[node.index]
-                self._derivs[key] = self._node(lambda j: _dx(field[j], node.order))
-            return self._derivs[key]
+            # A chain of keyed nodes, u_x then u_xx and so on; a loop, not
+            # recursion on order k-1, so the stack depth does not bound k.
+            rows = self._state[node.index]
+            for _ in range(node.order):
+                rows = self._node(("dx", id(rows)), lambda j, a=rows: a[j].dx())
+            return rows
         if isinstance(node, Add):
             a, b = self._compile(node.left), self._compile(node.right)
-            return self._node(lambda j: a[j] + b[j])
+            return self._node(("+", id(a), id(b)), lambda j: a[j] + b[j])
         if isinstance(node, Sub):
             a, b = self._compile(node.left), self._compile(node.right)
-            return self._node(lambda j: a[j] - b[j])
+            return self._node(("-", id(a), id(b)), lambda j: a[j] - b[j])
         if isinstance(node, Mul):
             return self._product(self._compile(node.left), self._compile(node.right))
         if isinstance(node, Neg):
             a = self._compile(node.operand)
-            return self._node(lambda j: -a[j])
+            return self._node(("neg", id(a)), lambda j: -a[j])
         if isinstance(node, Pow):
-            base = self._compile(node.base)
-            out = base
+            # The same chain of keyed products: u^2 is the node of u*u.
+            base = rows = self._compile(node.base)
             for _ in range(node.exponent - 1):
-                out = self._product(out, base)
-            return out
+                rows = self._product(rows, base)
+            return rows
         raise TypeError(f"not an expression node: {node!r}")
 
-    def _node(self, row: Callable[[int], TanhPoly]) -> list[TanhPoly]:
-        """A new node whose row j is row(j), after every step registered so far."""
-        rows: list[TanhPoly] = []
-        self._steps.append(lambda j: rows.append(row(j)))
+    def _node(self, key: tuple, row: Callable[[int], TanhPoly]) -> list[TanhPoly]:
+        """The rows of node `key`; on first sight a new node whose row j is
+        row(j), after every step registered so far."""
+        rows = self._nodes.get(key)
+        if rows is None:
+            rows = self._nodes[key] = []
+            self._steps.append(lambda j: rows.append(row(j)))
         return rows
 
     def _product(self, a: list[TanhPoly], b: list[TanhPoly]) -> list[TanhPoly]:
@@ -497,13 +506,7 @@ class RowEvaluator:
                 _backend.series_product(rows_a, rows_b, j, start=j, nonzero=nonzero)[0]
             )
 
-        return self._node(row)
-
-
-def _dx(p: TanhPoly, k: int) -> TanhPoly:
-    for _ in range(k):
-        p = p.dx()
-    return p
+        return self._node(("*", id(a), id(b)), row)
 
 
 def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tuple[TimeSeries, ...]:

@@ -15,6 +15,7 @@ cell, so both paths give the same text and booleans are still refused.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import fixtures
@@ -131,6 +132,13 @@ def _fixture_and_orders(fixture: str, orders) -> tuple[fixtures.Fixture, list[in
     return fx, sorted(orders)
 
 
+def _require_finite(name: str, values) -> None:
+    """A ConfigError naming the first inf or nan among `values`."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 def error_table(fixture: str, orders, xs, ts) -> Table:
     """Absolute error of truncated series against the exact waves.
 
@@ -141,6 +149,8 @@ def error_table(fixture: str, orders, xs, ts) -> Table:
     prefixes.
     """
     fx, orders = _fixture_and_orders(fixture, orders)
+    _require_finite("x values", xs)
+    _require_finite("t values", ts)
     if any(t < 0 for t in ts):
         raise ConfigError("t values must be nonnegative")
     if not xs:
@@ -202,6 +212,8 @@ def divergence_figure(
         if L < 0 or M < 1:
             raise ConfigError("pade orders must satisfy L >= 0 and M >= 1")
         needed = max(needed, L + M)
+    _require_finite("x", (x,))
+    _require_finite("t_max", (t_max,))
     if t_max <= 0:
         raise ConfigError("t_max must be positive")
     if samples < 2:

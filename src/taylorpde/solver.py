@@ -37,14 +37,32 @@ from .series import TanhPoly, TimeSeries
 class SeriesSolution:
     """Result of a solve: one TimeSeries per field, all the same order.
 
-    `initial` keeps the profiles the solve started from; the order-0
-    coefficient of each series equals the matching entry exactly.
+    The order and the initial profiles are read from the series, so they
+    cannot disagree with them; a ConfigError refuses a series count other
+    than the field count, or series of different orders.
     """
 
     system: PdeSystem
-    order: int
     series: tuple[TimeSeries, ...]
-    initial: tuple[TanhPoly, ...]
+
+    def __post_init__(self):
+        fields = self.system.fields
+        if len(self.series) != len(fields):
+            raise ConfigError(
+                f"system has {len(fields)} fields but the solution has {len(self.series)} series"
+            )
+        if len({s.order for s in self.series}) > 1:
+            found = ", ".join(f"{f} {s.order}" for f, s in zip(fields, self.series))
+            raise ConfigError(f"every series must have the same order, got {found}")
+
+    @property
+    def order(self) -> int:
+        return self.series[0].order
+
+    @property
+    def initial(self) -> tuple[TanhPoly, ...]:
+        """The profiles the solve started from: each series' order-0 coefficient."""
+        return tuple(s.coeffs[0] for s in self.series)
 
     @property
     def fields(self) -> tuple[str, ...]:
@@ -83,9 +101,7 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
         for col, r in zip(columns, rows):
             col.append(r)
     _check_finite(system.fields, order, [col[order] for col in columns])
-    return SeriesSolution(
-        system, order, tuple(TimeSeries(col) for col in columns), tuple(profiles)
-    )
+    return SeriesSolution(system, tuple(TimeSeries(col) for col in columns))
 
 
 def residual(system: PdeSystem, solution: SeriesSolution) -> float:

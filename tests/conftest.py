@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import taylorpde
 from taylorpde import FIXTURES, solve
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_import_path():
+    # The CLI tests run `python -m taylorpde.cli` in child processes: put
+    # the directory this test run imported the package from on their
+    # import path, so they run the same code, installed or not.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(taylorpde.__file__).parent.parent), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

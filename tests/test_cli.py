@@ -167,6 +167,8 @@ class TestExitCodes:
             ("figure", "--fixture", "riccati", "--t-max", "inf", "--out", OUT_DIR),
             ("figure", "--fixture", "riccati", "--x", "nan", "--out", OUT_DIR),
             ("radius", "--x=nan,inf"),
+            ("solve", "--fixture", "riccati", "--order", "3", "--init", "0,inf"),
+            ("solve", "--fixture", "riccati", "--order", "3", "--init", "nan"),
         ],
     )
     def test_config_errors_exit_2(self, args, tmp_path):

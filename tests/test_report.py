@@ -63,6 +63,12 @@ class TestConfigValidation:
             {"t_max": 0.0},
             {"samples": 1},
             {"ts": (0.1, -0.2)},
+            # Non-finite numbers are refused, not returned as nan/inf rows.
+            {"xs": (1.0, math.nan)},
+            {"ts": (0.1, math.inf)},
+            {"x": math.nan},
+            {"t_max": math.inf},
+            {"t_max": math.nan},
         ],
     )
     def test_rejected(self, overrides):

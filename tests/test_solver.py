@@ -15,7 +15,7 @@ from taylorpde import (
     solve,
 )
 from taylorpde import _backend
-from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, Pow, Sub, eval_rhs
+from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, PdeSystem, Pow, Sub, eval_rhs
 
 
 class TestRecurrence:
@@ -162,17 +162,31 @@ def test_residual_raises_on_non_finite_stored_row(coupled, row, bad, message):
     rows = list(series[1].coeffs)
     rows[row] = TanhPoly(bad)
     series[1] = TimeSeries(rows)
-    tampered = SeriesSolution(coupled.system, 3, tuple(series), sol.initial)
+    tampered = SeriesSolution(coupled.system, tuple(series))
     with pytest.raises(TaylorPdeError, match=message) as err:
         residual(coupled.system, tampered)
     assert type(err.value) is TaylorPdeError
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        ([[1.0, 0.5]], "^system has 2 fields but the solution has 1 series$"),
+        ([[1.0, 0.5], [1.0, 0.5, 0.1]], "^every series must have the same order, got u 1, v 2$"),
+    ],
+    ids=["count", "orders"],
+)
+def test_solution_refuses_series_that_disagree(rows, message):
+    system = parse_system("u' = v\nv' = u\n")
+    with pytest.raises(ConfigError, match=message):
+        SeriesSolution(system, tuple(TimeSeries(r) for r in rows))
 
 
 def test_handmade_solution_residual_measures_imbalance():
     sys = parse_system("u' = u")
     good = solve(sys, [TanhPoly([1.0])], 3)
     series = good.series
-    tampered = SeriesSolution(sys, 3, series, good.initial)
+    tampered = SeriesSolution(sys, series)
     wrong_sys = parse_system("u' = 2 * u")
     assert residual(wrong_sys, tampered) > 0.4
 
@@ -246,8 +260,20 @@ _SYSTEMS["mixed"] = (
     [TanhPoly([0, 0.5]), TanhPoly([1, -0.25])],
     12,
 )
-# series_product calls per order: one per Mul, exponent - 1 per Pow.
-_PRODUCTS_PER_ORDER = {"riccati": 2, "coupled": 8, "transport": 3, "kdv": 2, "mixed": 8}
+# Shared subexpressions: u^3 and u*u*u, (u - 1)^2 in both equations, u_x twice.
+_SYSTEMS["shared"] = (
+    parse_system(
+        "u' = u^3 - u*u*u + u_x*u_xxx - 1/4*(u - 1)^2*u_x\n"
+        "v' = (u - 1)^2 - v*u_xx\n"
+    ),
+    [TanhPoly([0, 1]), TanhPoly([1, -0.25])],
+    12,
+)
+# series_product calls per order: one per distinct product, where u^k is
+# the product of u^(k-1) and u.
+_PRODUCTS_PER_ORDER = {
+    "riccati": 2, "coupled": 8, "transport": 3, "kdv": 2, "mixed": 8, "shared": 7
+}
 
 
 @pytest.mark.parametrize("name", list(_SYSTEMS))
@@ -304,3 +330,52 @@ def test_each_factor_row_is_scanned_once(name, monkeypatch):
     calls.clear()
     residual(system, sol)
     assert len(calls) == 2 * _PRODUCTS_PER_ORDER[name] * order
+
+
+# TanhPoly.dx calls per order: one per distinct (field, derivative order),
+# each derivative taken from the one below it (u_xxx from u_xx from u_x).
+_DX_PER_ORDER = {"kdv": 3, "mixed": 5, "shared": 3}
+
+
+@pytest.mark.parametrize("name", list(_DX_PER_ORDER))
+def test_each_derivative_row_is_one_dx(name, monkeypatch):
+    system, initial, order = _SYSTEMS[name]
+    dx = TanhPoly.dx
+    calls = []
+
+    def recording(p):
+        calls.append(p)
+        return dx(p)
+
+    monkeypatch.setattr(TanhPoly, "dx", recording)
+    sol = solve(system, initial, order)
+    assert len(calls) == _DX_PER_ORDER[name] * order
+    calls.clear()
+    residual(system, sol)
+    assert len(calls) == _DX_PER_ORDER[name] * order
+
+
+def test_long_left_deep_sum_solves():
+    # 799 nested Adds: compiling them must recurse once per level, so
+    # nodes are not looked up by hashing the tree, which recurses again.
+    system = parse_system("u' = " + " + ".join(["u"] * 800))
+    sol = solve(system, [TanhPoly([0, 1])], 2)
+    assert sol.series[0].coeffs[1] == TanhPoly([0, 800])
+    assert sol.series[0].coeffs[2] == TanhPoly([0, 320000])
+
+
+def test_high_power_solves():
+    # u^1500 is a chain of 1499 products, built without recursing per factor.
+    system = parse_system("u' = u^1500")
+    sol = solve(system, [TanhPoly([0, 1])], 1)
+    assert sol.series[0].coeffs[1] == TanhPoly([0] * 1500 + [1])
+
+
+@pytest.mark.parametrize(
+    "node", [Pow(Field(0), 1), Deriv(0, 0)], ids=["pow-1", "deriv-0"]
+)
+def test_trivial_power_and_derivative_are_the_field(node):
+    # Not made by the parser, which folds u^1 to u and needs an order >= 1.
+    system = PdeSystem(("u",), (node,))
+    state = (TimeSeries([TanhPoly([0, 1]), TanhPoly([2, 0, -1])]),)
+    assert eval_rhs(system, state, 1) == state
