@@ -109,16 +109,44 @@ class PdeSystem:
         return "\n".join(lines)
 
 
-def _max_deriv(node: Node) -> int:
-    if isinstance(node, Deriv):
-        return node.order
+def _operands(node: Node) -> tuple[Node, ...]:
     if isinstance(node, (Add, Sub, Mul)):
-        return max(_max_deriv(node.left), _max_deriv(node.right))
+        return (node.left, node.right)
     if isinstance(node, Neg):
-        return _max_deriv(node.operand)
+        return (node.operand,)
     if isinstance(node, Pow):
-        return _max_deriv(node.base)
-    return 0
+        return (node.base,)
+    return ()
+
+
+def _fold(root: Node, build: Callable[[Node, list], object]):
+    """build(node, [results of its operands]) for every node of a tree,
+    operands first and left to right; returns the root's result.
+
+    The walk keeps its own stack, so a tree deeper than Python's recursion
+    limit (a left-deep sum of thousands of terms) folds too.
+    """
+    results: list = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        operands = _operands(node)
+        if operands and not expanded:
+            stack.append((node, True))
+            stack.extend((operand, False) for operand in reversed(operands))
+            continue
+        first = len(results) - len(operands)
+        args = results[first:]
+        del results[first:]
+        results.append(build(node, args))
+    return results[0]
+
+
+def _max_deriv(node: Node) -> int:
+    return _fold(
+        node,
+        lambda node, orders: node.order if isinstance(node, Deriv) else max(orders, default=0),
+    )
 
 
 class _Token(NamedTuple):
@@ -356,14 +384,15 @@ class _ExprParser:
 
 def pretty(node: Node, fields: Sequence[str]) -> str:
     """Render a node so that parsing the output rebuilds the same tree."""
-    text, _ = _fmt(node, fields)
+    text, _ = _fold(node, lambda node, operands: _fmt(node, operands, fields))
     return text
 
 
 # Precedence levels: 1 additive, 2 unary minus, 3 multiplicative, 4 power,
 # 5 atom.  A child is parenthesized when its level is below the minimum its
 # position requires; right operands require strictly more than the operator.
-def _fmt(node: Node, fields: Sequence[str]) -> tuple[str, int]:
+def _fmt(node: Node, operands: list[tuple[str, int]], fields: Sequence[str]) -> tuple[str, int]:
+    """(text, level) of a node whose operands rendered as `operands`."""
     if isinstance(node, Const):
         v = node.value
         text = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -375,24 +404,24 @@ def _fmt(node: Node, fields: Sequence[str]) -> tuple[str, int]:
             return f"{fields[node.index]}_{'x' * node.order}", 5
         return f"d_x^{node.order}({fields[node.index]})", 5
     if isinstance(node, Neg):
-        return f"-{_wrap(node.operand, 4, fields)}", 2
+        return f"-{_wrap(operands[0], 4)}", 2
     if isinstance(node, Add):
-        return f"{_wrap(node.left, 1, fields)} + {_wrap(node.right, 2, fields)}", 1
+        return f"{_wrap(operands[0], 1)} + {_wrap(operands[1], 2)}", 1
     if isinstance(node, Sub):
-        return f"{_wrap(node.left, 1, fields)} - {_wrap(node.right, 2, fields)}", 1
+        return f"{_wrap(operands[0], 1)} - {_wrap(operands[1], 2)}", 1
     if isinstance(node, Mul):
         # A unary-minus child needs no parens beside '*': a leading '-'
         # before a factor reparses into the same tree.
-        left = _wrap(node.left, 3, fields, unary_ok=True)
-        right = _wrap(node.right, 4, fields, unary_ok=True)
+        left = _wrap(operands[0], 3, unary_ok=True)
+        right = _wrap(operands[1], 4, unary_ok=True)
         return f"{left} * {right}", 3
     if isinstance(node, Pow):
-        return f"{_wrap(node.base, 5, fields)}^{node.exponent}", 4
+        return f"{_wrap(operands[0], 5)}^{node.exponent}", 4
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _wrap(node: Node, minprec: int, fields: Sequence[str], unary_ok: bool = False) -> str:
-    text, prec = _fmt(node, fields)
+def _wrap(rendered: tuple[str, int], minprec: int, unary_ok: bool = False) -> str:
+    text, prec = rendered
     if prec >= minprec or (unary_ok and prec == 2):
         return text
     return f"({text})"
@@ -419,14 +448,15 @@ class RowEvaluator:
     per order: nodes are keyed by their operation and the identity of
     their operand nodes, u^k is the product of u^(k-1) and u (so u^2 and
     u*u are one node) and u_xx is the x-derivative of u_x.  A product also
-    keeps the nonzero terms of each factor row, so every factor row is
-    scanned for nonzeros once, not once per later order.  A row is the
-    same float sequence that the full truncated Cauchy product gives,
-    whatever order is reached.
+    keeps a _backend.ProductState, the nonzero terms of its left factor
+    rows and a zero-padded copy of its right factor rows, so every factor
+    row is taken in once, not once per later order.  A row is the same
+    float sequence that the full truncated Cauchy product gives, whatever
+    order is reached.
 
-    The kernels skip zero factors, which matches the dense loops only on
-    finite rows, so advance() raises a TaylorPdeError naming the order and
-    field of the first inf or nan coefficient it is given.
+    The kernels match the dense loops only on finite rows, so advance()
+    raises a TaylorPdeError naming the order and field of the first inf
+    or nan coefficient it is given.
     """
 
     def __init__(self, system: PdeSystem):
@@ -437,7 +467,7 @@ class RowEvaluator:
         # live as long as the evaluator, so an id is never reused.  Not
         # keyed by the tree nodes: hashing one recurses through its subtree.
         self._nodes: dict[tuple, list[TanhPoly]] = {}
-        self._roots = tuple(self._compile(eq) for eq in system.equations)
+        self._roots = tuple(_fold(eq, self._compile) for eq in system.equations)
         self._order = 0
 
     def advance(self, row: Sequence[TanhPoly]) -> tuple[TanhPoly, ...]:
@@ -450,8 +480,9 @@ class RowEvaluator:
         self._order += 1
         return tuple(rows[j] for rows in self._roots)
 
-    def _compile(self, node: Node) -> list[TanhPoly]:
-        """Register the steps that extend a node's rows; return the rows."""
+    def _compile(self, node: Node, operands: list[list[TanhPoly]]) -> list[TanhPoly]:
+        """Register the steps that extend a node's rows, given the rows of
+        its operands (compiled first, by _fold); return the rows."""
         if isinstance(node, Field):
             return self._state[node.index]
         if isinstance(node, Const):
@@ -465,19 +496,19 @@ class RowEvaluator:
                 rows = self._node(("dx", id(rows)), lambda j, a=rows: a[j].dx())
             return rows
         if isinstance(node, Add):
-            a, b = self._compile(node.left), self._compile(node.right)
+            a, b = operands
             return self._node(("+", id(a), id(b)), lambda j: a[j] + b[j])
         if isinstance(node, Sub):
-            a, b = self._compile(node.left), self._compile(node.right)
+            a, b = operands
             return self._node(("-", id(a), id(b)), lambda j: a[j] - b[j])
         if isinstance(node, Mul):
-            return self._product(self._compile(node.left), self._compile(node.right))
+            return self._product(*operands)
         if isinstance(node, Neg):
-            a = self._compile(node.operand)
+            (a,) = operands
             return self._node(("neg", id(a)), lambda j: -a[j])
         if isinstance(node, Pow):
             # The same chain of keyed products: u^2 is the node of u*u.
-            base = rows = self._compile(node.base)
+            base = rows = operands[0]
             for _ in range(node.exponent - 1):
                 rows = self._product(rows, base)
             return rows
@@ -495,15 +526,13 @@ class RowEvaluator:
     def _product(self, a: list[TanhPoly], b: list[TanhPoly]) -> list[TanhPoly]:
         rows_a: list[tuple[float, ...]] = []
         rows_b: list[tuple[float, ...]] = []
-        nonzero: tuple[list[list[tuple[int, float]]], ...] = ([], [])
+        state = _backend.ProductState()
 
         def row(j: int) -> TanhPoly:
             rows_a.append(a[j].coeffs)
             rows_b.append(b[j].coeffs)
-            nonzero[0].append(_backend._nonzero(rows_a[j]))
-            nonzero[1].append(_backend._nonzero(rows_b[j]))
             return TanhPoly(
-                _backend.series_product(rows_a, rows_b, j, start=j, nonzero=nonzero)[0]
+                _backend.series_product(rows_a, rows_b, j, start=j, nonzero=state)[0]
             )
 
         return self._node(("*", id(a), id(b)), row)

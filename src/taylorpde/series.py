@@ -7,8 +7,10 @@ fixed order, whose coefficients are TanhPoly values; the solver stores
 its result as one TimeSeries per field and evaluates it at (x, t).
 
 All coefficient storage is float.  Products go through the kernels in
-_backend, which skip zero coefficients and so need finite inputs to give
-the dense loops' bits.
+_backend: conv skips zero coefficients, and series_product, in numpy,
+adds the dense loops' terms in their order plus signed-zero terms, which
+a final += 0.0 makes harmless; both need finite inputs to give the dense
+loops' bits.
 """
 
 from __future__ import annotations
@@ -151,9 +153,9 @@ class TimeSeries:
         Kept for the tests' bitwise reference and the benchmark's series.mul
         span, which wraps it by name.  Raises ConfigError when either factor
         carries fewer than order+1 coefficients: those products would be
-        silently wrong.  The kernel skips zero factors, which matches the
-        dense product only on finite rows, so a TaylorPdeError names the
-        first inf or nan coefficient in rows 0..order of either factor.
+        silently wrong.  The kernel matches the dense product only on
+        finite rows, so a TaylorPdeError names the first inf or nan
+        coefficient in rows 0..order of either factor.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")

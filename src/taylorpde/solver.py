@@ -13,14 +13,18 @@ multiplies O(N^2) pairs of rows, not O(N^3)).  Earlier coefficients
 never change: extending a solve to a higher order reproduces the
 lower-order coefficients bitwise.
 
-The product kernels skip zero coefficients, which gives the dense
-loops' bits only while every coefficient is finite (a skipped 0*inf
-would have been nan).  RowEvaluator.advance() therefore checks every row
-it is given, solve() and residual() check the last row as well, and all
-raise on the first inf or nan instead of returning it as a number.
-An overflow inside a right-hand side reaches the new row unless it is
-multiplied by a row that is exactly zero; there the skip gives the
-exact product, zero, where the dense loops gave nan.
+The product kernel (numpy, in _backend) adds the dense loops' terms in
+their order, keeps the bits with a final += 0.0 and gathers at least two
+columns, since numpy sums a single column pairwise.  It skips the zero
+coefficients of its left factor and adds signed zeros for those of its
+right factor, which gives the dense loops' bits only while every
+coefficient is finite (a skipped 0*inf would have been nan).
+RowEvaluator.advance() therefore checks every row it is given, solve()
+and residual() check the last row as well, and all raise on the first
+inf or nan instead of returning it as a number.  An overflow inside a
+right-hand side reaches the new row unless it is the right factor of a
+product whose left row is exactly zero; there the skip gives the exact
+product, zero, where the dense loops gave nan.
 """
 
 from __future__ import annotations

@@ -38,3 +38,9 @@ def test_tracer_installs_on_a_solve_and_comes_off():
     assert _backend.series_product is originals["series_product"]
     names = {span[0] for span in tracer.spans}
     assert {"solver.solve", "solver.residual", "dsl.eval_rhs", "kernels.series_product"} <= names
+    # The per-layer counters see the kernel: one series_product span per
+    # product per order (transport has 3 products; the solve and the
+    # residual each make 8 rows), and its multiply-adds are counted.
+    products = [span for span in tracer.spans if span[0] == "kernels.series_product"]
+    assert len(products) == 3 * 8 * 2
+    assert tracer.counts["kernels.madds"] > 0

@@ -1,7 +1,7 @@
-"""The convolution kernels skip zero factors, so they are checked bitwise
-against the dense loops they replace, kept here as the reference, on
-rows that mix 0.0 and -0.0 with finite floats.  Known-value checks run
-on both, so the reference is checked too."""
+"""The convolution kernels skip zero factors or add signed-zero terms in
+numpy, so they are checked bitwise against the dense loops, kept here as
+the reference, on rows that mix 0.0 and -0.0 with finite floats.
+Known-value checks run on both, so the reference is checked too."""
 
 import struct
 
@@ -49,15 +49,19 @@ class _Dense:
         return out
 
 
-# "pure" is the package's kernel, named as taylorpde.BACKEND names it.
-KERNELS = [pytest.param(_backend, id="pure"), pytest.param(_Dense, id="dense")]
+# "numpy" is the package's kernel, named as taylorpde.BACKEND names it.
+KERNELS = [pytest.param(_backend, id="numpy"), pytest.param(_Dense, id="dense")]
 
 _floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _rows = st.lists(st.lists(_floats, min_size=1, max_size=6), min_size=1, max_size=6)
-# Signed zeros, moderate floats whose sums round, and any finite float.
+# Quotients whose products and sums round: most drawn floats are integers
+# or short binary fractions, which add exactly in any order.
+_quotients = st.builds(lambda n, d: n / d, st.integers(-(10**6), 10**6), st.integers(1, 999))
+# Signed zeros, moderate floats, quotients and any finite float.
 _coeffs = st.one_of(
     st.sampled_from([0.0, -0.0]),
     _floats,
+    _quotients,
     st.floats(allow_nan=False, allow_infinity=False),
 )
 _sparse_row = st.lists(_coeffs, min_size=1, max_size=7)
@@ -90,16 +94,25 @@ def test_conv_skipping_zeros_matches_dense_loop_bitwise(a, b):
 
 @given(st.data())
 def test_series_product_skipping_zeros_matches_dense_loop_bitwise(data):
-    a = data.draw(st.lists(_sparse_row, min_size=1, max_size=6), label="a")
-    n = len(a)
-    b = data.draw(st.lists(_sparse_row, min_size=n, max_size=n), label="b")
-    order = n - 1
+    # Up to 21 rows, so a column can sum more terms than numpy's 8-term
+    # pairwise block.  Rows of one coefficient make one-column products,
+    # which numpy would sum pairwise if the kernel gathered them so; their
+    # coefficients are quotients, so that the summation order shows.
+    one_column = data.draw(st.booleans(), label="one column")
+    coeff = _quotients if one_column else _coeffs
+    row = st.lists(coeff, min_size=1, max_size=1 if one_column else 7)
+    order = data.draw(st.integers(0, 20), label="order")
+    rows = st.lists(row, min_size=order + 1, max_size=order + 1)
+    a = data.draw(rows, label="a")
+    b = data.draw(rows, label="b")
     start = data.draw(st.integers(0, order), label="start")
     dense = _bits(_Dense.series_product(a, b, order, start=start))
     assert _bits(_backend.series_product(a, b, order, start=start)) == dense
-    # The nonzero lists a caller keeps across orders give the same bits.
-    nonzero = ([_backend._nonzero(row) for row in a], [_backend._nonzero(row) for row in b])
-    assert _bits(_backend.series_product(a, b, order, start=start, nonzero=nonzero)) == dense
+    # A state kept across orders, one row per call as the solver asks,
+    # gives the same bits.
+    state = _backend.ProductState()
+    tail = [_backend.series_product(a, b, k, start=k, nonzero=state)[0] for k in range(order + 1)]
+    assert _bits(tail[start:]) == dense
 
 
 @given(st.data())
@@ -135,9 +148,9 @@ def test_only_nonzero_pairs_are_multiplied():
     assert _backend.conv(a[0], b[1]) == [6.0, 0.0, 5.0, 0.0, -14.0]
     assert sorted(products) == [(1.0, -7.0), (1.0, 6.0), (2.0, -7.0), (2.0, 6.0)]
 
-    products.clear()
-    _backend.series_product(a, b, 2, start=1)
-    # Row 1: a0*b1 (2 x 2 nonzeros) + a1*b0 (1 x 1); row 2: a0*b2 (2 x 1)
-    # + a1*b1 (1 x 2) + a2*b0 (1 x 1).
-    assert len(products) == 4 + 1 + 2 + 2 + 1
-    assert all(x != 0.0 and y != 0.0 for x, y in products)
+    # The product kernel forms no pair with a zero left factor: its state
+    # holds exactly the nonzero terms of the left rows, as (i, p, a[i][p]).
+    state = _backend.ProductState()
+    _backend.series_product(a, b, 2, start=1, nonzero=state)
+    terms = list(zip(*(column.tolist() for column in state.terms(2))))
+    assert terms == [(0, 0, 1.0), (0, 2, 2.0), (1, 2, 3.0), (2, 0, 4.0)]

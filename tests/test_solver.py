@@ -14,8 +14,9 @@ from taylorpde import (
     residual,
     solve,
 )
-from taylorpde import _backend
+from taylorpde import _backend, cli
 from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, PdeSystem, Pow, Sub, eval_rhs
+from test_kernels import _Dense
 
 
 class TestRecurrence:
@@ -193,15 +194,17 @@ def test_handmade_solution_residual_measures_imbalance():
 
 # The whole-series evaluation that solve() ran before it advanced one row
 # per order: at every order j each node recomputes its rows 0..j, as a list
-# of TanhPoly rows with products through TimeSeries.mul, and only row j is
-# kept.  It is the reference the row evaluator must match bit for bit.
+# of TanhPoly rows with products through the dense loops of test_kernels,
+# not the package's kernel, and only row j is kept.  It is the reference
+# the row evaluator must match bit for bit.
 def _reference_eval_rhs(system, state, order):
     trunc = [list(s.coeffs[: order + 1]) for s in state]
     assert all(len(rows) == order + 1 for rows in trunc)
     deriv_cache = {}
 
     def product(a, b):
-        return list(TimeSeries(a).mul(TimeSeries(b), order).coeffs)
+        rows = _Dense.series_product([p.coeffs for p in a], [p.coeffs for p in b], order)
+        return [TanhPoly(row) for row in rows]
 
     def ev(node):
         if isinstance(node, Const):
@@ -269,10 +272,21 @@ _SYSTEMS["shared"] = (
     [TanhPoly([0, 1]), TanhPoly([1, -0.25])],
     12,
 )
+# Constant profiles: every row has one coefficient, so every product row
+# is a one-column sum of up to 61 terms.
+_SYSTEMS["square"] = (parse_system("u' = u*u"), [TanhPoly([0.1])], 60)
+_SYSTEMS["cubic"] = (parse_system("u' = u*u - 1/3*u^3 + 7/10"), [TanhPoly([0.3])], 60)
 # series_product calls per order: one per distinct product, where u^k is
 # the product of u^(k-1) and u.
 _PRODUCTS_PER_ORDER = {
-    "riccati": 2, "coupled": 8, "transport": 3, "kdv": 2, "mixed": 8, "shared": 7
+    "riccati": 2,
+    "coupled": 8,
+    "transport": 3,
+    "kdv": 2,
+    "mixed": 8,
+    "shared": 7,
+    "square": 1,
+    "cubic": 3,
 }
 
 
@@ -309,13 +323,12 @@ def test_each_order_computes_one_product_row(name, monkeypatch):
     assert calls == [1] * order * _PRODUCTS_PER_ORDER[name]
 
 
-# Systems without spatial derivatives, whose TanhPoly.dx scans rows in conv.
-@pytest.mark.parametrize("name", ["riccati", "coupled"])
+@pytest.mark.parametrize("name", list(_SYSTEMS))
 def test_each_factor_row_is_scanned_once(name, monkeypatch):
-    # Every product keeps the nonzero terms of its factor rows across
-    # orders, so a solve to order N scans 2 factor rows per product per
-    # order (riccati at N=20: 2 products x 2 factors x 20 = 80), not rows
-    # 0..j of both factors at every order j.
+    # Every product keeps the nonzero terms of its left factor rows and a
+    # copy of its right factor rows across orders, so a solve to order N
+    # scans one left row per product per order (riccati at N=20: 2
+    # products x 20 = 40), not rows 0..j at every order j.
     system, initial, order = _SYSTEMS[name]
     scan = _backend._nonzero
     calls = []
@@ -326,10 +339,10 @@ def test_each_factor_row_is_scanned_once(name, monkeypatch):
 
     monkeypatch.setattr(_backend, "_nonzero", recording)
     sol = solve(system, initial, order)
-    assert len(calls) == 2 * _PRODUCTS_PER_ORDER[name] * order
+    assert len(calls) == _PRODUCTS_PER_ORDER[name] * order
     calls.clear()
     residual(system, sol)
-    assert len(calls) == 2 * _PRODUCTS_PER_ORDER[name] * order
+    assert len(calls) == _PRODUCTS_PER_ORDER[name] * order
 
 
 # TanhPoly.dx calls per order: one per distinct (field, derivative order),
@@ -355,13 +368,23 @@ def test_each_derivative_row_is_one_dx(name, monkeypatch):
     assert len(calls) == _DX_PER_ORDER[name] * order
 
 
-def test_long_left_deep_sum_solves():
-    # 799 nested Adds: compiling them must recurse once per level, so
-    # nodes are not looked up by hashing the tree, which recurses again.
-    system = parse_system("u' = " + " + ".join(["u"] * 800))
+def test_long_left_deep_sum_solves(tmp_path, capsys):
+    # 4,999 nested Adds, deeper than Python's recursion limit: compiling,
+    # max_spatial_order and pretty() walk the tree with their own stack,
+    # and nodes are not looked up by hashing the tree, which recurses.
+    source = "u' = " + " + ".join(["u"] * 5000)
+    system = parse_system(source)
     sol = solve(system, [TanhPoly([0, 1])], 2)
-    assert sol.series[0].coeffs[1] == TanhPoly([0, 800])
-    assert sol.series[0].coeffs[2] == TanhPoly([0, 320000])
+    assert sol.series[0].coeffs[1] == TanhPoly([0, 5000])
+    assert sol.series[0].coeffs[2] == TanhPoly([0, 12_500_000])
+    assert system.max_spatial_order == 0
+    # Compared as text: == on the dataclass trees recurses.
+    assert system.pretty() == source
+    assert parse_system(system.pretty()).pretty() == source
+    path = tmp_path / "deep.pde"
+    path.write_text(source + "\n")
+    assert cli.main(["solve", "--system", str(path), "--init", "0,1", "--order", "3"]) == 0
+    assert capsys.readouterr().out == "fields: u\norder: 3\nresidual: 0\n"
 
 
 def test_high_power_solves():
