@@ -447,16 +447,21 @@ class RowEvaluator:
     rows of its factors.  Equal subexpressions are one node, computed once
     per order: nodes are keyed by their operation and the identity of
     their operand nodes, u^k is the product of u^(k-1) and u (so u^2 and
-    u*u are one node) and u_xx is the x-derivative of u_x.  A product also
-    keeps a _backend.ProductState, the nonzero terms of its left factor
-    rows and a zero-padded copy of its right factor rows, so every factor
-    row is taken in once, not once per later order.  A row is the same
-    float sequence that the full truncated Cauchy product gives, whatever
-    order is reached.
+    u*u are one node) and u_xx is the x-derivative of u_x.  A product of
+    two series keeps a _backend.ProductState, the nonzero terms of its
+    left factor rows and a zero-padded copy of its right factor rows, so
+    every factor row is taken in once, not once per later order.  A
+    product with a constant factor c is no kernel call: its row j is the
+    other factor's row j scaled, v * c + 0.0 per coefficient, a product of
+    two constants is the constant c_a * c_b + 0.0, and a zero constant on
+    the left gives the zero constant (see the solver module docstring).  A
+    row is the same float sequence that the full truncated Cauchy product
+    gives, whatever order is reached.
 
     The kernels match the dense loops only on finite rows, so advance()
     raises a TaylorPdeError naming the order and field of the first inf
-    or nan coefficient it is given.
+    or nan coefficient it is given.  A constant past the float range
+    raises a TaylorPdeError naming it when the evaluator is built.
     """
 
     def __init__(self, system: PdeSystem):
@@ -467,6 +472,8 @@ class RowEvaluator:
         # live as long as the evaluator, so an id is never reused.  Not
         # keyed by the tree nodes: hashing one recurses through its subtree.
         self._nodes: dict[tuple, list[TanhPoly]] = {}
+        # The float value of every constant node, keyed by the id of its rows.
+        self._constants: dict[int, float] = {}
         self._roots = tuple(_fold(eq, self._compile) for eq in system.equations)
         self._order = 0
 
@@ -486,8 +493,11 @@ class RowEvaluator:
         if isinstance(node, Field):
             return self._state[node.index]
         if isinstance(node, Const):
-            head = TanhPoly([float(node.value)])
-            return self._node(("c", node.value), lambda j: head if j == 0 else TanhPoly.zero())
+            try:
+                value = float(node.value)
+            except OverflowError:
+                raise TaylorPdeError(f"constant {node.value} is outside the float range") from None
+            return self._constant(("c", node.value), value)
         if isinstance(node, Deriv):
             # A chain of keyed nodes, u_x then u_xx and so on; a loop, not
             # recursion on order k-1, so the stack depth does not bound k.
@@ -523,7 +533,26 @@ class RowEvaluator:
             self._steps.append(lambda j: rows.append(row(j)))
         return rows
 
+    def _constant(self, key: tuple, value: float) -> list[TanhPoly]:
+        """The rows of constant node `key`: value, then zeros."""
+        head = TanhPoly([value])
+        zero = TanhPoly.zero()
+        rows = self._node(key, lambda j: head if j == 0 else zero)
+        self._constants[id(rows)] = value
+        return rows
+
     def _product(self, a: list[TanhPoly], b: list[TanhPoly]) -> list[TanhPoly]:
+        key = ("*", id(a), id(b))
+        ca = self._constants.get(id(a))
+        cb = self._constants.get(id(b))
+        if ca == 0.0:
+            # The kernel skips a zero left factor whatever b holds.
+            return self._constant(key, 0.0)
+        if ca is not None and cb is not None:
+            return self._constant(key, ca * cb + 0.0)
+        if ca is not None or cb is not None:
+            x, c = (b, ca) if ca is not None else (a, cb)
+            return self._node(key, lambda j: TanhPoly([v * c + 0.0 for v in x[j].coeffs]))
         rows_a: list[tuple[float, ...]] = []
         rows_b: list[tuple[float, ...]] = []
         state = _backend.ProductState()
@@ -535,7 +564,7 @@ class RowEvaluator:
                 _backend.series_product(rows_a, rows_b, j, start=j, nonzero=state)[0]
             )
 
-        return self._node(("*", id(a), id(b)), row)
+        return self._node(key, row)
 
 
 def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tuple[TimeSeries, ...]:

@@ -84,7 +84,12 @@ class TanhPoly:
     def __sub__(self, other: TanhPoly) -> TanhPoly:
         if not isinstance(other, TanhPoly):
             return NotImplemented
-        return self + (-other)
+        # x - y is x + (-y) in IEEE arithmetic, signed zeros included.
+        a, b = self._coeffs, other._coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out.extend(a[len(b) :])
+        out.extend(-y for y in b[len(a) :])
+        return TanhPoly(out)
 
     def __truediv__(self, other: int | float | Fraction) -> TanhPoly:
         if not isinstance(other, _NUMBER):

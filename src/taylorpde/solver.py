@@ -19,12 +19,24 @@ columns, since numpy sums a single column pairwise.  It skips the zero
 coefficients of its left factor and adds signed zeros for those of its
 right factor, which gives the dense loops' bits only while every
 coefficient is finite (a skipped 0*inf would have been nan).
+
+A product with a constant factor c makes no kernel call: its row k is
+the other factor's row k scaled, v * c + 0.0 per coefficient.  These are
+the dense loops' bits too.  Past row 0 the constant's rows are zero, so
+each column of row k is a sum from +0.0 of the one term v * c and
+signed zeros; that sum is v * c, except that a -0.0 product sums to
++0.0, which is what the + 0.0 gives.  This also holds only while every
+coefficient is finite.  A zero constant on the left keeps the kernel's
+skip: the product is the zero constant, whatever the other factor holds.
+
 RowEvaluator.advance() therefore checks every row it is given, solve()
 and residual() check the last row as well, and all raise on the first
 inf or nan instead of returning it as a number.  An overflow inside a
 right-hand side reaches the new row unless it is the right factor of a
-product whose left row is exactly zero; there the skip gives the exact
-product, zero, where the dense loops gave nan.
+product whose left row is exactly zero, a zero constant included; there
+the skip gives the exact product, zero, where the dense loops gave nan.
+A constant literal that no float holds (a 400-digit integer, say) raises
+a TaylorPdeError naming it before any row is made.
 """
 
 from __future__ import annotations

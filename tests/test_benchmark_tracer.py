@@ -26,7 +26,7 @@ def test_tracer_installs_on_a_solve_and_comes_off():
         "mul": series.TimeSeries.__dict__["mul"],
         "series_product": _backend.series_product,
     }
-    fx = FIXTURES["transport"]
+    fx = FIXTURES["coupled"]
     tracer = spans.install(spans.Tracer())
     try:
         assert solver.solve is not originals["solve"]
@@ -39,8 +39,9 @@ def test_tracer_installs_on_a_solve_and_comes_off():
     names = {span[0] for span in tracer.spans}
     assert {"solver.solve", "solver.residual", "dsl.eval_rhs", "kernels.series_product"} <= names
     # The per-layer counters see the kernel: one series_product span per
-    # product per order (transport has 3 products; the solve and the
-    # residual each make 8 rows), and its multiply-adds are counted.
+    # product of two series per order (coupled has 3, one (f - c)^2 per
+    # field; its products with a constant are row scales; the solve and
+    # the residual each make 8 rows), and its multiply-adds are counted.
     products = [span for span in tracer.spans if span[0] == "kernels.series_product"]
     assert len(products) == 3 * 8 * 2
     assert tracer.counts["kernels.madds"] > 0

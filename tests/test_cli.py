@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from taylorpde import cli
 from taylorpde.cli import _parse_trange
 
 CLI = [sys.executable, "-m", "taylorpde.cli"]
@@ -215,3 +216,13 @@ class TestExitCodes:
         proc = run("solve", "--system", str(path), "--init", "2,0,-2", "--order", "80")
         assert proc.returncode == 3
         assert "order 78 of field u is not finite" in proc.stderr
+
+    def test_constant_past_float_range_exits_3(self, tmp_path, capsys):
+        # A 401-digit literal parses exactly but has no float value.
+        big = "1" + "0" * 400
+        path = tmp_path / "big.pde"
+        path.write_text(f"u' = {big} * u\n")
+        assert cli.main(["solve", "--system", str(path), "--init", "0,1", "--order", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: constant {big} is outside the float range\n"

@@ -217,6 +217,20 @@ def test_eval_is_partial_sum_bitwise(rows, x, t):
         assert TanhPoly(c)(x) == partial_sum(c, math.tanh(x))
 
 
+_signed = st.one_of(st.sampled_from([0.0, -0.0]), _coeff)
+
+
+@given(st.lists(_signed, min_size=1, max_size=6), st.lists(_signed, min_size=1, max_size=6))
+def test_sub_is_add_of_negation_bitwise(a, b):
+    # One pass, x - y per coefficient, must keep the bits of p + (-q),
+    # the sign of every zero included.
+    def signed(r):
+        return [(c, math.copysign(1.0, c)) for c in r.coeffs]
+
+    p, q = TanhPoly(a), TanhPoly(b)
+    assert signed(p - q) == signed(p + (-q))
+
+
 def test_series_eval_partial_sum_accuracy(riccati, riccati15):
     # Numerically verified: the order-15 partial sum at t=0.1 (deep inside
     # the convergence disk at x=0) reproduces the closed form to about

@@ -183,6 +183,25 @@ def test_solution_refuses_series_that_disagree(rows, message):
         SeriesSolution(system, tuple(TimeSeries(r) for r in rows))
 
 
+def test_constant_past_float_range_raises():
+    # Exact as a Fraction, but no float holds it.
+    system = parse_system("u' = " + "1" + "0" * 400 + " * u")
+    with pytest.raises(TaylorPdeError, match="^constant 1000+ is outside the float range$") as err:
+        solve(system, [TanhPoly([0, 1])], 3)
+    assert type(err.value) is TaylorPdeError
+
+
+def test_zero_left_factor_is_zero_past_an_overflow():
+    # u * 1e200 * 1e200 overflows; the dense loops would give 0 * inf = nan,
+    # but a zero on the left is skipped, so 0 * (...) is the exact zero.
+    big = "1" + "0" * 200
+    system = parse_system(f"u' = 0 * (u * {big} * {big}) + u")
+    sol = solve(system, [TanhPoly([0.5, 1])], 3)
+    assert sol.series[0].coeffs[3] == TanhPoly([0.5 / 6, 1 / 6])
+    with pytest.raises(TaylorPdeError, match="^order 1 of field u is not finite"):
+        solve(parse_system(f"u' = (u * {big} * {big}) * 0 + u"), [TanhPoly([0.5, 1])], 3)
+
+
 def test_handmade_solution_residual_measures_imbalance():
     sys = parse_system("u' = u")
     good = solve(sys, [TanhPoly([1.0])], 3)
@@ -222,7 +241,9 @@ def _reference_eval_rhs(system, state, order):
         if isinstance(node, Add):
             return [a + b for a, b in zip(ev(node.left), ev(node.right))]
         if isinstance(node, Sub):
-            return [a - b for a, b in zip(ev(node.left), ev(node.right))]
+            # Through negation, not TanhPoly.__sub__, so that the bitwise
+            # tests check __sub__ against a second formula.
+            return [a + (-b) for a, b in zip(ev(node.left), ev(node.right))]
         if isinstance(node, Mul):
             return product(ev(node.left), ev(node.right))
         if isinstance(node, Neg):
@@ -276,17 +297,28 @@ _SYSTEMS["shared"] = (
 # is a one-column sum of up to 61 terms.
 _SYSTEMS["square"] = (parse_system("u' = u*u"), [TanhPoly([0.1])], 60)
 _SYSTEMS["cubic"] = (parse_system("u' = u*u - 1/3*u^3 + 7/10"), [TanhPoly([0.3])], 60)
-# series_product calls per order: one per distinct product, where u^k is
-# the product of u^(k-1) and u.
+# Constant factors, which scale rows instead of calling the kernel: on the
+# left and on the right, a constant times a constant (2 * 3), a zero on the
+# left, and -1 times rows with zero coefficients, whose -0.0 products the
+# dense loops sum to +0.0.
+_SYSTEMS["constants"] = (
+    parse_system("u' = -1 * u_x * 1/3 + 2 * 3 * u * u - 0 * u"),
+    [TanhPoly([0, 1, 0, -0.25])],
+    15,
+)
+# series_product calls per order: one per distinct product of two series,
+# where u^k is the product of u^(k-1) and u; a product with a constant
+# factor is a row scale, no kernel call.
 _PRODUCTS_PER_ORDER = {
-    "riccati": 2,
-    "coupled": 8,
-    "transport": 3,
-    "kdv": 2,
-    "mixed": 8,
-    "shared": 7,
+    "riccati": 1,
+    "coupled": 3,
+    "transport": 0,
+    "kdv": 1,
+    "mixed": 5,
+    "shared": 6,
     "square": 1,
-    "cubic": 3,
+    "cubic": 2,
+    "constants": 1,
 }
 
 
