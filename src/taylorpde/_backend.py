@@ -1,17 +1,20 @@
 """Convolution kernels: the hot loops of series arithmetic.
 
-conv is a plain loop that skips every factor that is exactly zero (0.0
-or -0.0); it differentiates rows, where one factor is (1 - w**2).
-series_product, the Cauchy product of two series, is numpy: row k is one
+Rows are 1-D float64 arrays, and both kernels are numpy.  conv, which
+differentiates rows (one factor is 1 - w**2), adds one scaled copy of
+its left factor per nonzero coefficient of its right factor.
+series_product, the Cauchy product of two series, makes row k as one
 gather of a (terms x width) block, one scale and one column sum.
 
 Both give, for finite inputs, bitwise the results of the dense loops
 (out[p+q] += a[p]*b[q] over every pair, each sum starting at +0.0 and
 adding terms in increasing i, then p):
 
-- conv skips terms with a zero factor.  Such a term is a signed zero,
-  which leaves a sum unchanged: round-to-nearest addition never turns
-  the +0.0 start into -0.0.
+- conv adds a * b[j] into columns j.. for each nonzero b[j], j taken
+  from high to low, so every column adds its terms in increasing index
+  of a, the dense order.  It skips the terms of a zero b[j], which are
+  signed zeros and leave a sum unchanged: round-to-nearest addition
+  never turns the +0.0 start into -0.0.
 - series_product keeps the left factor's nonzero terms in (i, p) order
   and multiplies each by a window of the zero-padded right row it
   meets.  numpy reduces axis 0 of a C-contiguous block of two or more
@@ -24,7 +27,9 @@ adding terms in increasing i, then p):
   two columns wide and the extra column is dropped.
 
 A zero times inf or nan is nan, so the inputs must be finite;
-solver.solve checks every row it produces.
+solver.solve checks every row it produces.  Finite inputs can still
+overflow: like Python floats, the kernels then give inf or nan without a
+warning (see quiet).
 """
 
 from operator import add
@@ -37,6 +42,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 BACKEND = "numpy"
 
 
+def quiet(fn):
+    """fn with numpy's overflow and invalid-value warnings off, so that
+    overflow gives inf or nan silently, as Python floats do."""
+    return np.errstate(over="ignore", invalid="ignore")(fn)
+
+
 def _nonzero(row):
     """(indices, values) of the coefficients of a row that are not zero."""
     values = np.asarray(row, dtype=float)
@@ -44,21 +55,20 @@ def _nonzero(row):
     return index, values[index]
 
 
+@quiet
 def conv(a, b):
-    """Full product of two finite coefficient lists: out[i+j] += a[i]*b[j].
+    """Full product of two finite coefficient rows: out[i+j] += a[i]*b[j].
 
-    Terms with a zero factor are skipped (see the module docstring).
+    a is scaled only by the nonzero b[j] (see the module docstring).
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     la = len(a)
-    lb = len(b)
-    if la == 0 or lb == 0:
-        return [0.0]
-    out = [0.0] * (la + lb - 1)
-    nz_b = [(j, bj) for j, bj in enumerate(b) if bj != 0.0]
-    for i, ai in enumerate(a):
-        if ai != 0.0:
-            for j, bj in nz_b:
-                out[i + j] += ai * bj
+    if la == 0 or len(b) == 0:
+        return np.zeros(1)
+    out = np.zeros(la + len(b) - 1)
+    for j in b.nonzero()[0][::-1].tolist():
+        out[j : j + la] += a * b[j]
     return out
 
 
@@ -127,7 +137,7 @@ class ProductState:
         self._right[j, pad : pad + len(row_b)] = row_b
         self.absorbed = j + 1
 
-    def row(self, k: int) -> list[float]:
+    def row(self, k: int) -> np.ndarray:
         """Row k of the product; rows 0..k must have been absorbed."""
         width = max(1, max(map(add, self._len_a[: k + 1], self._len_b[k::-1])) - 1)
         rows, powers, values = self.terms(k)
@@ -137,12 +147,13 @@ class ProductState:
         block *= values[:, None]
         acc = np.add.reduce(block, axis=0)
         acc += 0.0
-        return acc[:width].tolist()
+        return acc[:width]
 
 
+@quiet
 def series_product(a, b, order, start=0, nonzero=None):
     """Rows start..order of the Cauchy product of two lists of finite
-    coefficient lists.
+    coefficient rows, as arrays.
 
     a and b hold at least order+1 rows each; row k of the result is
     sum over i of conv(a[i], b[k-i]), with the dense loops' bits (see the
@@ -158,7 +169,4 @@ def series_product(a, b, order, start=0, nonzero=None):
     state = ProductState() if nonzero is None else nonzero
     for j in range(state.absorbed, order + 1):
         state.absorb(a[j], b[j])
-    # Finite inputs can still overflow; like Python floats, give inf or
-    # nan without a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [state.row(k) for k in range(start, order + 1)]
+    return [state.row(k) for k in range(start, order + 1)]

@@ -26,16 +26,18 @@ are ordered by the appearance of their defining equations.
 
 from __future__ import annotations
 
-import math
+import operator
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from . import _backend
 from .errors import ConfigError, ParseError, TaylorPdeError
-from .series import TanhPoly, TimeSeries
+from .series import TanhPoly, TimeSeries, add_rows, dx_row, sub_rows, trim
 
 
 @dataclass(frozen=True)
@@ -427,13 +429,17 @@ def _wrap(rendered: tuple[str, int], minprec: int, unary_ok: bool = False) -> st
     return f"({text})"
 
 
-def _check_finite(fields: Sequence[str], j: int, rows: Sequence[TanhPoly]) -> None:
+def _check_finite(fields: Sequence[str], j: int, rows: Sequence) -> None:
+    """Raise on the first inf or nan coefficient of rows (arrays or
+    coefficient tuples), one per field, at order j."""
     for field, row in zip(fields, rows):
-        for p, c in enumerate(row.coeffs):
-            if not math.isfinite(c):
-                raise TaylorPdeError(
-                    f"order {j} of field {field} is not finite: coefficient of w^{p} is {c!r}"
-                )
+        finite = np.isfinite(row)
+        if not finite.all():
+            p = int(finite.argmin())
+            raise TaylorPdeError(
+                f"order {j} of field {field} is not finite: "
+                f"coefficient of w^{p} is {float(row[p])!r}"
+            )
 
 
 class RowEvaluator:
@@ -441,43 +447,53 @@ class RowEvaluator:
 
     advance(row) takes the order-j coefficient of every field, j being the
     number of earlier advance() calls, and returns the order-j coefficient
-    of every right-hand side.  The expression trees are compiled once into
-    nodes that keep the rows they have computed, so each order computes
-    only its own row: a product row is sum_i a_i * b_(j-i) over the stored
-    rows of its factors.  Equal subexpressions are one node, computed once
-    per order: nodes are keyed by their operation and the identity of
-    their operand nodes, u^k is the product of u^(k-1) and u (so u^2 and
-    u*u are one node) and u_xx is the x-derivative of u_x.  A product of
-    two series keeps a _backend.ProductState, the nonzero terms of its
-    left factor rows and a zero-padded copy of its right factor rows, so
-    every factor row is taken in once, not once per later order.  A
-    product with a constant factor c is no kernel call: its row j is the
-    other factor's row j scaled, v * c + 0.0 per coefficient, a product of
-    two constants is the constant c_a * c_b + 0.0, and a zero constant on
-    the left gives the zero constant (see the solver module docstring).  A
-    row is the same float sequence that the full truncated Cauchy product
-    gives, whatever order is reached.
+    of every right-hand side.  Rows are 1-D float64 arrays in TanhPoly's
+    normal form (series.trim) from kernel to kernel; TanhPoly values exist
+    only at the boundary, in the series that solve() and eval_rhs()
+    return.  The expression trees are compiled once into nodes that keep
+    the rows they have computed, so each order computes only its own row:
+    a product row is sum_i a_i * b_(j-i) over the stored rows of its
+    factors.  Equal subexpressions are one node, computed once per order:
+    nodes are keyed by their operation and the identity of their operand
+    nodes, u^k is the product of u^(k-1) and u (so u^2 and u*u are one
+    node) and u_xx is the x-derivative of u_x.  A product of two series
+    keeps a _backend.ProductState, the nonzero terms of its left factor
+    rows and a zero-padded copy of its right factor rows, so every factor
+    row is taken in once, not once per later order.
+
+    Constants are folded.  A sum, difference or negation of constants is
+    the constant that float arithmetic gives on their values, and on the
+    signed zeros of their later rows, so its rows are the floats the node
+    would compute.  A product with a constant factor c is no kernel call:
+    its row j is the other factor's row j scaled, v * c + 0.0 per
+    coefficient, a product of two constants is the constant c_a * c_b +
+    0.0, and a zero constant on the left gives the zero constant (see the
+    solver module docstring).  A row is the same float sequence that the
+    full truncated Cauchy product gives, whatever order is reached.
 
     The kernels match the dense loops only on finite rows, so advance()
     raises a TaylorPdeError naming the order and field of the first inf
-    or nan coefficient it is given.  A constant past the float range
-    raises a TaylorPdeError naming it when the evaluator is built.
+    or nan coefficient it is given.  A nonzero constant that no float
+    holds, too large or too small, raises a TaylorPdeError naming it when
+    the evaluator is built.
     """
 
     def __init__(self, system: PdeSystem):
         self._fields = system.fields
-        self._state: list[list[TanhPoly]] = [[] for _ in system.fields]
+        self._state: list[list[np.ndarray]] = [[] for _ in system.fields]
         self._steps: list[Callable[[int], None]] = []  # operands first
         # Keyed by operation and the ids of the operands' row lists, which
         # live as long as the evaluator, so an id is never reused.  Not
         # keyed by the tree nodes: hashing one recurses through its subtree.
-        self._nodes: dict[tuple, list[TanhPoly]] = {}
-        # The float value of every constant node, keyed by the id of its rows.
-        self._constants: dict[int, float] = {}
+        self._nodes: dict[tuple, list[np.ndarray]] = {}
+        # Every constant node's (row-0 value, value of its later rows),
+        # keyed by the id of its rows; the later rows are a signed zero.
+        self._constants: dict[int, tuple[float, float]] = {}
         self._roots = tuple(_fold(eq, self._compile) for eq in system.equations)
         self._order = 0
 
-    def advance(self, row: Sequence[TanhPoly]) -> tuple[TanhPoly, ...]:
+    @_backend.quiet
+    def advance(self, row: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         j = self._order
         _check_finite(self._fields, j, row)
         for rows, p in zip(self._state, row):
@@ -487,7 +503,7 @@ class RowEvaluator:
         self._order += 1
         return tuple(rows[j] for rows in self._roots)
 
-    def _compile(self, node: Node, operands: list[list[TanhPoly]]) -> list[TanhPoly]:
+    def _compile(self, node: Node, operands: list[list[np.ndarray]]) -> list[np.ndarray]:
         """Register the steps that extend a node's rows, given the rows of
         its operands (compiled first, by _fold); return the rows."""
         if isinstance(node, Field):
@@ -496,26 +512,26 @@ class RowEvaluator:
             try:
                 value = float(node.value)
             except OverflowError:
-                raise TaylorPdeError(f"constant {node.value} is outside the float range") from None
+                value = None
+            # Too large a value overflows; too small a one rounds to 0.0.
+            if value is None or (value == 0.0 and node.value != 0):
+                raise TaylorPdeError(f"constant {node.value} is outside the float range")
             return self._constant(("c", node.value), value)
         if isinstance(node, Deriv):
             # A chain of keyed nodes, u_x then u_xx and so on; a loop, not
             # recursion on order k-1, so the stack depth does not bound k.
             rows = self._state[node.index]
             for _ in range(node.order):
-                rows = self._node(("dx", id(rows)), lambda j, a=rows: a[j].dx())
+                rows = self._node(("dx", id(rows)), lambda j, a=rows: dx_row(a[j]))
             return rows
         if isinstance(node, Add):
-            a, b = operands
-            return self._node(("+", id(a), id(b)), lambda j: a[j] + b[j])
+            return self._pointwise("+", operator.add, add_rows, operands)
         if isinstance(node, Sub):
-            a, b = operands
-            return self._node(("-", id(a), id(b)), lambda j: a[j] - b[j])
+            return self._pointwise("-", operator.sub, sub_rows, operands)
         if isinstance(node, Mul):
             return self._product(*operands)
         if isinstance(node, Neg):
-            (a,) = operands
-            return self._node(("neg", id(a)), lambda j: -a[j])
+            return self._pointwise("neg", operator.neg, np.negative, operands)
         if isinstance(node, Pow):
             # The same chain of keyed products: u^2 is the node of u*u.
             base = rows = operands[0]
@@ -524,7 +540,7 @@ class RowEvaluator:
             return rows
         raise TypeError(f"not an expression node: {node!r}")
 
-    def _node(self, key: tuple, row: Callable[[int], TanhPoly]) -> list[TanhPoly]:
+    def _node(self, key: tuple, row: Callable[[int], np.ndarray]) -> list[np.ndarray]:
         """The rows of node `key`; on first sight a new node whose row j is
         row(j), after every step registered so far."""
         rows = self._nodes.get(key)
@@ -533,38 +549,45 @@ class RowEvaluator:
             self._steps.append(lambda j: rows.append(row(j)))
         return rows
 
-    def _constant(self, key: tuple, value: float) -> list[TanhPoly]:
-        """The rows of constant node `key`: value, then zeros."""
-        head = TanhPoly([value])
-        zero = TanhPoly.zero()
-        rows = self._node(key, lambda j: head if j == 0 else zero)
-        self._constants[id(rows)] = value
+    def _constant(self, key: tuple, value: float, zero: float = 0.0) -> list[np.ndarray]:
+        """The rows of constant node `key`: value, then the signed zero."""
+        head = np.array([value])
+        tail = np.array([zero])
+        rows = self._node(key, lambda j: head if j == 0 else tail)
+        self._constants[id(rows)] = (value, zero)
         return rows
 
-    def _product(self, a: list[TanhPoly], b: list[TanhPoly]) -> list[TanhPoly]:
+    def _pointwise(
+        self,
+        tag: str,
+        op: Callable[..., float],
+        row_op: Callable[..., np.ndarray],
+        operands: list[list[np.ndarray]],
+    ) -> list[np.ndarray]:
+        """The node whose row j is row_op of its operands' rows j; of
+        constants, the constant that op gives on their values and zeros."""
+        key = (tag, *map(id, operands))
+        constants = [self._constants.get(id(rows)) for rows in operands]
+        if None not in constants:
+            return self._constant(key, *(op(*sides) for sides in zip(*constants)))
+        return self._node(key, lambda j: row_op(*[rows[j] for rows in operands]))
+
+    def _product(self, a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
         key = ("*", id(a), id(b))
         ca = self._constants.get(id(a))
         cb = self._constants.get(id(b))
-        if ca == 0.0:
+        if ca is not None and ca[0] == 0.0:
             # The kernel skips a zero left factor whatever b holds.
             return self._constant(key, 0.0)
         if ca is not None and cb is not None:
-            return self._constant(key, ca * cb + 0.0)
+            return self._constant(key, ca[0] * cb[0] + 0.0)
         if ca is not None or cb is not None:
-            x, c = (b, ca) if ca is not None else (a, cb)
-            return self._node(key, lambda j: TanhPoly([v * c + 0.0 for v in x[j].coeffs]))
-        rows_a: list[tuple[float, ...]] = []
-        rows_b: list[tuple[float, ...]] = []
+            x, c = (b, ca[0]) if ca is not None else (a, cb[0])
+            return self._node(key, lambda j: trim(x[j] * c + 0.0))
         state = _backend.ProductState()
-
-        def row(j: int) -> TanhPoly:
-            rows_a.append(a[j].coeffs)
-            rows_b.append(b[j].coeffs)
-            return TanhPoly(
-                _backend.series_product(rows_a, rows_b, j, start=j, nonzero=state)[0]
-            )
-
-        return self._node(key, row)
+        return self._node(
+            key, lambda j: trim(_backend.series_product(a, b, j, start=j, nonzero=state)[0])
+        )
 
 
 def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tuple[TimeSeries, ...]:
@@ -587,5 +610,5 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
                 f"needs {order + 1} coefficients"
             )
     evaluator = RowEvaluator(system)
-    rows = [evaluator.advance([s.coeffs[j] for s in state]) for j in range(order + 1)]
-    return tuple(TimeSeries(col) for col in zip(*rows))
+    rows = [evaluator.advance([s.coeffs[j].row() for s in state]) for j in range(order + 1)]
+    return tuple(TimeSeries(map(TanhPoly, col)) for col in zip(*rows))

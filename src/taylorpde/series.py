@@ -6,11 +6,13 @@ gives degree d+1.  A TimeSeries is a power series in t, truncated at a
 fixed order, whose coefficients are TanhPoly values; the solver stores
 its result as one TimeSeries per field and evaluates it at (x, t).
 
-All coefficient storage is float.  Products go through the kernels in
-_backend: conv skips zero coefficients, and series_product, in numpy,
-adds the dense loops' terms in their order plus signed-zero terms, which
-a final += 0.0 makes harmless; both need finite inputs to give the dense
-loops' bits.
+TanhPoly and TimeSeries are the package's boundary: what solve and
+eval_rhs return and what callers pass in.  Inside the evaluator a row,
+one coefficient of a series in t, is a 1-D float64 array in TanhPoly's
+normal form (trim), and the row functions here (add_rows, sub_rows,
+dx_row) are its arithmetic: the same IEEE operations, in the same order,
+as TanhPoly's.  Products go through the kernels in _backend, which give
+the dense loops' bits on finite inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
+import numpy as np
+
 from . import _backend
 from .errors import ConfigError, TaylorPdeError
 from .waves import partial_sum
@@ -26,14 +30,42 @@ from .waves import partial_sum
 _NUMBER = (int, float, Fraction)
 
 # dp/dw gets multiplied by (1 - w**2) when differentiating in x.
-_CHAIN = [1.0, 0.0, -1.0]
+_CHAIN = np.array([1.0, 0.0, -1.0])
 
 
-def _normalize(coeffs: list[float]) -> tuple[float, ...]:
+def trim(coeffs):
+    """coeffs (a list or a row) without trailing zeros, at least one entry
+    long: the normal form that a TanhPoly stores."""
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0.0:
         n -= 1
-    return tuple(coeffs[:n])
+    return coeffs[:n]
+
+
+def add_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b: the longer row, with the shorter added into its head."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[: len(b)] += b
+    return trim(out)
+
+
+def sub_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b: the differences, then the longer row's tail, negated if it
+    is b's."""
+    n = min(len(a), len(b))
+    out = a.copy() if len(a) >= len(b) else np.negative(b)
+    np.subtract(a[:n], b[:n], out=out[:n])
+    return trim(out)
+
+
+def dx_row(row: np.ndarray) -> np.ndarray:
+    """Derivative in x of a row: (1 - w**2) * dp/dw."""
+    if len(row) == 1:
+        return np.zeros(1)
+    dp = np.arange(1.0, len(row)) * row[1:]
+    return trim(_backend.conv(dp, _CHAIN))
 
 
 class TanhPoly:
@@ -46,11 +78,14 @@ class TanhPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[int | float | Fraction]):
-        values = [float(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int | float | Fraction] | np.ndarray):
+        if isinstance(coeffs, np.ndarray):
+            values = coeffs.astype(float, copy=False).tolist()
+        else:
+            values = [float(c) for c in coeffs]
         if not values:
             values = [0.0]
-        self._coeffs = _normalize(values)
+        self._coeffs = tuple(trim(values))
 
     @classmethod
     def zero(cls) -> TanhPoly:
@@ -66,6 +101,10 @@ class TanhPoly:
 
     def max_abs(self) -> float:
         return max(abs(c) for c in self._coeffs)
+
+    def row(self) -> np.ndarray:
+        """The coefficients as a new float64 array: the evaluator's row."""
+        return np.array(self._coeffs)
 
     def __add__(self, other: TanhPoly) -> TanhPoly:
         if not isinstance(other, TanhPoly):

@@ -13,6 +13,14 @@ multiplies O(N^2) pairs of rows, not O(N^3)).  Earlier coefficients
 never change: extending a solve to a higher order reproduces the
 lower-order coefficients bitwise.
 
+Inside solve() and the evaluator every row is a 1-D float64 array in
+TanhPoly's normal form (series.trim): sums, differences, scales, the
+division by j+1 and the kernels take and return arrays, with the same
+IEEE operations in the same order as the TanhPoly arithmetic they
+replace.  TanhPoly values are built only for the series that solve()
+returns; residual() compares the series it is given row by row as
+arrays.
+
 The product kernel (numpy, in _backend) adds the dense loops' terms in
 their order, keeps the bits with a final += 0.0 and gathers at least two
 columns, since numpy sums a single column pairwise.  It skips the zero
@@ -35,8 +43,10 @@ inf or nan instead of returning it as a number.  An overflow inside a
 right-hand side reaches the new row unless it is the right factor of a
 product whose left row is exactly zero, a zero constant included; there
 the skip gives the exact product, zero, where the dense loops gave nan.
-A constant literal that no float holds (a 400-digit integer, say) raises
-a TaylorPdeError naming it before any row is made.
+A nonzero constant literal that no float holds (a 400-digit integer, or
+one over it, which would round to 0.0) raises a TaylorPdeError naming it
+before any row is made.  Sums, differences and negations of constants
+are constants too, so a product with (1/2 + 1/3) is a scale as well.
 """
 
 from __future__ import annotations
@@ -44,9 +54,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _backend
 from .dsl import PdeSystem, RowEvaluator, _check_finite, eval_rhs
 from .errors import ConfigError
-from .series import TanhPoly, TimeSeries
+from .series import TanhPoly, TimeSeries, sub_rows, trim
 
 
 @dataclass(frozen=True)
@@ -110,16 +123,18 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
     if order < 1:
         raise ValueError("order must be at least 1")
     profiles = _as_initial(initial, len(system.fields))
-    columns = [[p] for p in profiles]
+    columns = [[p.row()] for p in profiles]
     rhs = RowEvaluator(system)
     for j in range(order):
-        rows = [r / (j + 1) for r in rhs.advance([col[j] for col in columns])]
+        rows = rhs.advance([col[j] for col in columns])
         for col, r in zip(columns, rows):
-            col.append(r)
+            col.append(trim(r / (j + 1)))
     _check_finite(system.fields, order, [col[order] for col in columns])
-    return SeriesSolution(system, tuple(TimeSeries(col) for col in columns))
+    series = (TimeSeries([p, *map(TanhPoly, col[1:])]) for p, col in zip(profiles, columns))
+    return SeriesSolution(system, tuple(series))
 
 
+@_backend.quiet
 def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     """Largest recurrence imbalance of a solution against a system.
 
@@ -135,12 +150,12 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     """
     n = solution.order
     rhs = eval_rhs(system, solution.series, n - 1)
-    _check_finite(system.fields, n, [s.coeffs[n] for s in solution.series])
+    _check_finite(system.fields, n, [s.coeffs[n].coeffs for s in solution.series])
     worst = 0.0
     for s, r in zip(solution.series, rhs):
         for j in range(n):
-            regenerated = r.coeffs[j] / (j + 1)
-            gap = (s.coeffs[j + 1] - regenerated).max_abs()
+            regenerated = trim(r.coeffs[j].row() / (j + 1))
+            gap = max(np.abs(sub_rows(s.coeffs[j + 1].row(), regenerated)).tolist())
             if gap > worst:
                 worst = gap
     return worst

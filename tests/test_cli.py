@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ UNKNOWN_FIELD_FILE = "<unknown-field.pde>"
 # Stands for an output directory under the test's tmp_path, which a
 # rejected command must not create.
 OUT_DIR = "<out>"
+# Stands for a KdV system file, `u' = -6*u*u_x - u_xxx`, written per test.
+KDV_FILE = "<kdv.pde>"
 
 
 def run(*args, cwd=None):
@@ -55,6 +58,35 @@ class TestSolve:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("0,u,0.5")
+
+    @pytest.mark.parametrize(
+        ("args", "sha256"),
+        [
+            (
+                ("--fixture", "coupled", "--order", "40"),
+                "4011e83d623fbb32e6cd649f8c8281aeaaaa822decc5edcec843bdf4a3b8aa9a",
+            ),
+            (
+                ("--fixture", "coupled", "--order", "60"),
+                "1198c8bbd2964ea996eb536ff7174fb737a2a86a9ae16f15d04e2c30d17cdedd",
+            ),
+            (
+                ("--system", KDV_FILE, "--init", "2,0,-2", "--order", "50"),
+                "2ba55b554c39b4da6f1d8c68448783950896d3676500097cb1f3a139596e84b1",
+            ),
+        ],
+        ids=["coupled-40", "coupled-60", "kdv-50"],
+    )
+    def test_print_coeffs_bytes_are_pinned(self, args, sha256, tmp_path, capsys):
+        # The coefficients take only + - * and /, which IEEE arithmetic
+        # rounds the same everywhere, so these bytes hold on any machine;
+        # a change to the evaluator or the kernels must keep them.
+        path = tmp_path / "kdv.pde"
+        path.write_text("u' = -6*u*u_x - u_xxx\n")
+        argv = ["solve", *(str(path) if arg == KDV_FILE else arg for arg in args), "--print-coeffs"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestTimeRange:
@@ -226,3 +258,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: constant {big} is outside the float range\n"
+
+    def test_constant_below_float_range_exits_3(self, tmp_path, capsys):
+        # Nonzero, but its float is 0.0: solving on would drop the term.
+        tiny = "1/1" + "0" * 400
+        path = tmp_path / "tiny.pde"
+        path.write_text(f"u' = {tiny} * u + 2/3 * u\n")
+        assert cli.main(["solve", "--system", str(path), "--init", "0,1", "--order", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: constant {tiny} is outside the float range\n"

@@ -73,18 +73,18 @@ def _bits(rows):
 
 @pytest.mark.parametrize("kernels", KERNELS)
 def test_conv_known_product(kernels):
-    assert kernels.conv([1.0, 2.0], [3.0, 4.0]) == [3.0, 10.0, 8.0]
+    assert list(kernels.conv([1.0, 2.0], [3.0, 4.0])) == [3.0, 10.0, 8.0]
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
 def test_conv_identity(kernels):
-    assert kernels.conv([5.0, -1.0, 2.0], [1.0]) == [5.0, -1.0, 2.0]
+    assert list(kernels.conv([5.0, -1.0, 2.0], [1.0])) == [5.0, -1.0, 2.0]
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
 def test_series_product_known_square(kernels):
     rows = [[1.0], [1.0]]
-    assert kernels.series_product(rows, rows, 1) == [[1.0], [2.0]]
+    assert [list(row) for row in kernels.series_product(rows, rows, 1)] == [[1.0], [2.0]]
 
 
 @given(_sparse_row, _sparse_row)
@@ -131,22 +131,13 @@ def test_series_product_start_returns_the_tail_bitwise(data):
 
 
 def test_only_nonzero_pairs_are_multiplied():
-    products = []
-
-    class Counted(float):
-        def __mul__(self, other):
-            products.append((float(self), float(other)))
-            return float(self) * float(other)
-
-        __rmul__ = __mul__
-
-    def counted(rows):
-        return [[Counted(c) for c in row] for row in rows]
-
-    a = counted([[1.0, 0.0, 2.0], [0.0, -0.0, 3.0, 0.0], [4.0]])
-    b = counted([[0.0, 5.0], [6.0, 0.0, -7.0], [-0.0, 8.0, 0.0]])
-    assert _backend.conv(a[0], b[1]) == [6.0, 0.0, 5.0, 0.0, -14.0]
-    assert sorted(products) == [(1.0, -7.0), (1.0, 6.0), (2.0, -7.0), (2.0, 6.0)]
+    # conv scales a only by the nonzero b[j]: the skipped product
+    # inf * b[0] would be nan, and the dense loops give [nan, inf, 1.0].
+    inf = float("inf")
+    assert list(_backend.conv([inf, 1.0], [0.0, 1.0])) == [0.0, inf, 1.0]
+    a = [[1.0, 0.0, 2.0], [0.0, -0.0, 3.0, 0.0], [4.0]]
+    b = [[0.0, 5.0], [6.0, 0.0, -7.0], [-0.0, 8.0, 0.0]]
+    assert list(_backend.conv(a[0], b[1])) == [6.0, 0.0, 5.0, 0.0, -14.0]
 
     # The product kernel forms no pair with a zero left factor: its state
     # holds exactly the nonzero terms of the left rows, as (i, p, a[i][p]).

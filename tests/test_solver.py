@@ -191,6 +191,15 @@ def test_constant_past_float_range_raises():
     assert type(err.value) is TaylorPdeError
 
 
+def test_constant_below_float_range_raises():
+    # Nonzero as a Fraction, but its float is 0.0; as 0.0 the term would
+    # drop out and the solve would be that of u' = 2/3 * u.
+    system = parse_system("u' = 1/1" + "0" * 400 + " * u + 2/3 * u")
+    with pytest.raises(TaylorPdeError, match="^constant 1/10+ is outside the float range$") as err:
+        solve(system, [TanhPoly([0, 1])], 3)
+    assert type(err.value) is TaylorPdeError
+
+
 def test_zero_left_factor_is_zero_past_an_overflow():
     # u * 1e200 * 1e200 overflows; the dense loops would give 0 * inf = nan,
     # but a zero on the left is skipped, so 0 * (...) is the exact zero.
@@ -306,6 +315,33 @@ _SYSTEMS["constants"] = (
     [TanhPoly([0, 1, 0, -0.25])],
     15,
 )
+# Sums, differences and negations of constants, which fold into constants
+# and so scale rows too.  -(1/4 - 1/4) is -0.0, a zero on the left, and
+# -(1 - 1) keeps the -0.0 rows of a negation: added to -v, whose even
+# coefficients are -0.0 in every other row, it leaves them -0.0 where
+# +0.0 would not.
+_SYSTEMS["constant-sums"] = (
+    parse_system(
+        "u' = (1/2 + 1/3) * u + (1 - 1/3) * u_x + -(1/4 - 1/4) * u\n"
+        "v' = -v + -(1 - 1) - (2 - 2) * v\n"
+    ),
+    [TanhPoly([0, 1, 0, -0.25]), TanhPoly([0, 1, 0, -0.25])],
+    15,
+)
+# Rows whose top coefficient becomes zero: 5e-324 / 2 underflows in the
+# division of row 2 of u, 5e-324 * 1e-300 in a scale, and u + -u and
+# u - u cancel.  Each such row must lose its trailing zero, as a TanhPoly
+# does: added to z, whose w^1 coefficient is -0.0, a kept +0.0 would turn
+# that coefficient into +0.0.
+_SYSTEMS["trailing-zeros"] = (
+    parse_system(
+        "u' = u\nz' = z\nv' = u + z\n"
+        "y' = 1/1" + "0" * 300 + " * u + z\n"
+        "s' = u + -u + z\nd' = u - u + z\n"
+    ),
+    [TanhPoly([1, 5e-324]), TanhPoly([0, -0.0, 1])] + [TanhPoly([0])] * 4,
+    4,
+)
 # series_product calls per order: one per distinct product of two series,
 # where u^k is the product of u^(k-1) and u; a product with a constant
 # factor is a row scale, no kernel call.
@@ -319,6 +355,8 @@ _PRODUCTS_PER_ORDER = {
     "square": 1,
     "cubic": 2,
     "constants": 1,
+    "constant-sums": 0,
+    "trailing-zeros": 0,
 }
 
 
@@ -377,22 +415,23 @@ def test_each_factor_row_is_scanned_once(name, monkeypatch):
     assert len(calls) == _PRODUCTS_PER_ORDER[name] * order
 
 
-# TanhPoly.dx calls per order: one per distinct (field, derivative order),
-# each derivative taken from the one below it (u_xxx from u_xx from u_x).
+# Derivative rows per order, each one _backend.conv call: one per distinct
+# (field, derivative order), each derivative taken from the one below it
+# (u_xxx from u_xx from u_x).
 _DX_PER_ORDER = {"kdv": 3, "mixed": 5, "shared": 3}
 
 
 @pytest.mark.parametrize("name", list(_DX_PER_ORDER))
 def test_each_derivative_row_is_one_dx(name, monkeypatch):
     system, initial, order = _SYSTEMS[name]
-    dx = TanhPoly.dx
+    conv = _backend.conv
     calls = []
 
-    def recording(p):
-        calls.append(p)
-        return dx(p)
+    def recording(a, b):
+        calls.append(a)
+        return conv(a, b)
 
-    monkeypatch.setattr(TanhPoly, "dx", recording)
+    monkeypatch.setattr(_backend, "conv", recording)
     sol = solve(system, initial, order)
     assert len(calls) == _DX_PER_ORDER[name] * order
     calls.clear()
