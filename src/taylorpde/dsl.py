@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _backend
 from .errors import ConfigError, ParseError, TaylorPdeError
-from .series import TanhPoly, TimeSeries, add_rows, dx_row, sub_rows, trim
+from .series import TanhPoly, TimeSeries, add_rows, check_finite, dx_row, sub_rows, trim
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,6 @@ class PdeSystem:
         if len(self.fields) != len(self.equations):
             raise ValueError("one equation per field required")
 
-    @property
-    def max_spatial_order(self) -> int:
-        return max((_max_deriv(eq) for eq in self.equations), default=0)
-
     def pretty(self) -> str:
         lines = [
             f"{name}' = {pretty(eq, self.fields)}"
@@ -142,13 +138,6 @@ def _fold(root: Node, build: Callable[[Node, list], object]):
         del results[first:]
         results.append(build(node, args))
     return results[0]
-
-
-def _max_deriv(node: Node) -> int:
-    return _fold(
-        node,
-        lambda node, orders: node.order if isinstance(node, Deriv) else max(orders, default=0),
-    )
 
 
 class _Token(NamedTuple):
@@ -429,19 +418,6 @@ def _wrap(rendered: tuple[str, int], minprec: int, unary_ok: bool = False) -> st
     return f"({text})"
 
 
-def _check_finite(fields: Sequence[str], j: int, rows: Sequence) -> None:
-    """Raise on the first inf or nan coefficient of rows (arrays or
-    coefficient tuples), one per field, at order j."""
-    for field, row in zip(fields, rows):
-        finite = np.isfinite(row)
-        if not finite.all():
-            p = int(finite.argmin())
-            raise TaylorPdeError(
-                f"order {j} of field {field} is not finite: "
-                f"coefficient of w^{p} is {float(row[p])!r}"
-            )
-
-
 class RowEvaluator:
     """The right-hand sides of a system, evaluated one order in t at a time.
 
@@ -479,7 +455,7 @@ class RowEvaluator:
     """
 
     def __init__(self, system: PdeSystem):
-        self._fields = system.fields
+        self._subjects = tuple(f"field {f}" for f in system.fields)
         self._state: list[list[np.ndarray]] = [[] for _ in system.fields]
         self._steps: list[Callable[[int], None]] = []  # operands first
         # Keyed by operation and the ids of the operands' row lists, which
@@ -495,7 +471,7 @@ class RowEvaluator:
     @_backend.quiet
     def advance(self, row: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         j = self._order
-        _check_finite(self._fields, j, row)
+        check_finite(self._subjects, j, row)
         for rows, p in zip(self._state, row):
             rows.append(p)
         for step in self._steps:

@@ -1,4 +1,4 @@
-"""Storage for truncated time-power series over tanh polynomials.
+"""Tanh polynomials, truncated time-power series, and the row arithmetic.
 
 A TanhPoly is a polynomial in w = tanh(x).  The family is closed under
 d/dx because dw/dx = 1 - w**2, so differentiating a degree-d polynomial
@@ -6,28 +6,28 @@ gives degree d+1.  A TimeSeries is a power series in t, truncated at a
 fixed order, whose coefficients are TanhPoly values; the solver stores
 its result as one TimeSeries per field and evaluates it at (x, t).
 
-TanhPoly and TimeSeries are the package's boundary: what solve and
-eval_rhs return and what callers pass in.  Inside the evaluator a row,
-one coefficient of a series in t, is a 1-D float64 array in TanhPoly's
-normal form (trim), and the row functions here (add_rows, sub_rows,
-dx_row) are its arithmetic: the same IEEE operations, in the same order,
-as TanhPoly's.  Products go through the kernels in _backend, which give
-the dense loops' bits on finite inputs.
+TanhPoly and TimeSeries are the package's boundary, storage and
+evaluation: what solve and eval_rhs return and what callers pass in.
+The arithmetic is on rows.  A row, one coefficient of a series in t, is
+a 1-D float64 array in TanhPoly's normal form (trim).  add_rows,
+sub_rows and dx_row here, numpy's negation, scaling and division, and
+the product kernels in _backend are the package's only polynomial
+arithmetic; TimeSeries.mul and dx go through them too.  check_finite is
+the one test for inf and nan coefficients.  The tests replay these
+operations on plain Python lists and compare the bits.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
+from typing import SupportsFloat
 
 import numpy as np
 
 from . import _backend
 from .errors import ConfigError, TaylorPdeError
 from .waves import partial_sum
-
-_NUMBER = (int, float, Fraction)
 
 # dp/dw gets multiplied by (1 - w**2) when differentiating in x.
 _CHAIN = np.array([1.0, 0.0, -1.0])
@@ -68,6 +68,20 @@ def dx_row(row: np.ndarray) -> np.ndarray:
     return trim(_backend.conv(dp, _CHAIN))
 
 
+def check_finite(subjects: Iterable[str], j: int, rows: Sequence) -> None:
+    """Raise on the first inf or nan coefficient of rows (arrays or
+    coefficient tuples) at order j, one row per subject, a phrase such
+    as "field u" that the message names."""
+    for subject, row in zip(subjects, rows):
+        finite = np.isfinite(row)
+        if not finite.all():
+            p = int(finite.argmin())
+            raise TaylorPdeError(
+                f"order {j} of {subject} is not finite: "
+                f"coefficient of w^{p} is {float(row[p])!r}"
+            )
+
+
 class TanhPoly:
     """Polynomial in w = tanh(x), stored dense from degree 0 up.
 
@@ -78,7 +92,7 @@ class TanhPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[int | float | Fraction] | np.ndarray):
+    def __init__(self, coeffs: Iterable[SupportsFloat] | np.ndarray):
         if isinstance(coeffs, np.ndarray):
             values = coeffs.astype(float, copy=False).tolist()
         else:
@@ -86,10 +100,6 @@ class TanhPoly:
         if not values:
             values = [0.0]
         self._coeffs = tuple(trim(values))
-
-    @classmethod
-    def zero(cls) -> TanhPoly:
-        return cls([0.0])
 
     @property
     def coeffs(self) -> tuple[float, ...]:
@@ -105,43 +115,6 @@ class TanhPoly:
     def row(self) -> np.ndarray:
         """The coefficients as a new float64 array: the evaluator's row."""
         return np.array(self._coeffs)
-
-    def __add__(self, other: TanhPoly) -> TanhPoly:
-        if not isinstance(other, TanhPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TanhPoly(out)
-
-    def __neg__(self) -> TanhPoly:
-        return TanhPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other: TanhPoly) -> TanhPoly:
-        if not isinstance(other, TanhPoly):
-            return NotImplemented
-        # x - y is x + (-y) in IEEE arithmetic, signed zeros included.
-        a, b = self._coeffs, other._coeffs
-        out = [x - y for x, y in zip(a, b)]
-        out.extend(a[len(b) :])
-        out.extend(-y for y in b[len(a) :])
-        return TanhPoly(out)
-
-    def __truediv__(self, other: int | float | Fraction) -> TanhPoly:
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        s = float(other)
-        return TanhPoly([c / s for c in self._coeffs])
-
-    def dx(self) -> TanhPoly:
-        """Derivative in x: (1 - w**2) * dp/dw."""
-        dp = [i * c for i, c in enumerate(self._coeffs)][1:]
-        if not dp:
-            return TanhPoly.zero()
-        return TanhPoly(_backend.conv(dp, _CHAIN))
 
     def __call__(self, x: float) -> float:
         """Evaluate at w = tanh(x) by Horner's rule."""
@@ -170,15 +143,15 @@ class TimeSeries:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[TanhPoly | int | float | Fraction | Iterable]):
+    def __init__(self, coeffs: Iterable[TanhPoly | SupportsFloat | Iterable]):
         polys = []
         for c in coeffs:
             if isinstance(c, TanhPoly):
                 polys.append(c)
-            elif isinstance(c, _NUMBER):
-                polys.append(TanhPoly([c]))
-            else:
+            elif isinstance(c, Iterable):
                 polys.append(TanhPoly(c))
+            else:
+                polys.append(TanhPoly([c]))
         if not polys:
             raise ValueError("a series needs at least the order-0 coefficient")
         self._coeffs = tuple(polys)
@@ -194,12 +167,13 @@ class TimeSeries:
     def mul(self, other: TimeSeries, order: int) -> TimeSeries:
         """Cauchy product truncated at the given order.
 
-        Kept for the tests' bitwise reference and the benchmark's series.mul
-        span, which wraps it by name.  Raises ConfigError when either factor
-        carries fewer than order+1 coefficients: those products would be
-        silently wrong.  The kernel matches the dense product only on
-        finite rows, so a TaylorPdeError names the first inf or nan
-        coefficient in rows 0..order of either factor.
+        Kept for the benchmark's series.mul span, which wraps it by name;
+        the solver multiplies rows through _backend.series_product.
+        Raises ConfigError when either factor carries fewer than order+1
+        coefficients: those products would be silently wrong.  The kernel
+        matches the dense product only on finite rows, so a TaylorPdeError
+        names the first inf or nan coefficient in rows 0..order of either
+        factor, order by order.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -212,24 +186,23 @@ class TimeSeries:
             )
         rows_a = [p.coeffs for p in self._coeffs]
         rows_b = [p.coeffs for p in other._coeffs]
-        for side, rows in (("left", rows_a), ("right", rows_b)):
-            for j, row in enumerate(rows[: order + 1]):
-                for p, c in enumerate(row):
-                    if not math.isfinite(c):
-                        raise TaylorPdeError(
-                            f"order {j} of the {side} factor is not finite: "
-                            f"coefficient of w^{p} is {c!r}"
-                        )
+        for j in range(order + 1):
+            check_finite(("the left factor", "the right factor"), j, (rows_a[j], rows_b[j]))
         rows = _backend.series_product(rows_a, rows_b, order)
         return TimeSeries([TanhPoly(row) for row in rows])
 
+    @_backend.quiet
     def dx(self, k: int = 1) -> TimeSeries:
+        """The k-th derivative in x, row by row through dx_row.
+
+        Kept for the benchmark's series.dx span, which wraps it by name.
+        """
         if k < 1:
             raise ValueError("derivative order must be at least 1")
-        polys = list(self._coeffs)
+        rows = [p.row() for p in self._coeffs]
         for _ in range(k):
-            polys = [p.dx() for p in polys]
-        return TimeSeries(polys)
+            rows = [dx_row(r) for r in rows]
+        return TimeSeries(map(TanhPoly, rows))
 
     def eval(self, x: float, t: float) -> float:
         """Evaluate the truncated series at (x, t) by Horner's rule in t.

@@ -15,11 +15,12 @@ lower-order coefficients bitwise.
 
 Inside solve() and the evaluator every row is a 1-D float64 array in
 TanhPoly's normal form (series.trim): sums, differences, scales, the
-division by j+1 and the kernels take and return arrays, with the same
-IEEE operations in the same order as the TanhPoly arithmetic they
-replace.  TanhPoly values are built only for the series that solve()
-returns; residual() compares the series it is given row by row as
-arrays.
+division by j+1 and the kernels take and return arrays.  The row
+functions in series are the only polynomial arithmetic; TanhPoly is
+storage and evaluation, built only for the series that solve() returns,
+and residual() compares the series it is given row by row as arrays.
+The tests replay the same IEEE operations in the same order in plain
+Python lists and compare the bits.
 
 The product kernel (numpy, in _backend) adds the dense loops' terms in
 their order, keeps the bits with a final += 0.0 and gathers at least two
@@ -57,9 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from .dsl import PdeSystem, RowEvaluator, _check_finite, eval_rhs
+from .dsl import PdeSystem, RowEvaluator, eval_rhs
 from .errors import ConfigError
-from .series import TanhPoly, TimeSeries, sub_rows, trim
+from .series import TanhPoly, TimeSeries, check_finite, sub_rows, trim
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,8 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
         rows = rhs.advance([col[j] for col in columns])
         for col, r in zip(columns, rows):
             col.append(trim(r / (j + 1)))
-    _check_finite(system.fields, order, [col[order] for col in columns])
+    subjects = [f"field {f}" for f in system.fields]
+    check_finite(subjects, order, [col[order] for col in columns])
     series = (TimeSeries([p, *map(TanhPoly, col[1:])]) for p, col in zip(profiles, columns))
     return SeriesSolution(system, tuple(series))
 
@@ -150,7 +152,8 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     """
     n = solution.order
     rhs = eval_rhs(system, solution.series, n - 1)
-    _check_finite(system.fields, n, [s.coeffs[n].coeffs for s in solution.series])
+    subjects = [f"field {f}" for f in system.fields]
+    check_finite(subjects, n, [s.coeffs[n].coeffs for s in solution.series])
     worst = 0.0
     for s, r in zip(solution.series, rhs):
         for j in range(n):

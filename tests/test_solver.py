@@ -16,6 +16,7 @@ from taylorpde import (
 )
 from taylorpde import _backend, cli
 from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, PdeSystem, Pow, Sub, eval_rhs
+from taylorpde.series import sub_rows
 from test_kernels import _Dense
 
 
@@ -34,7 +35,7 @@ class TestRecurrence:
         sys = parse_system("u' = 0")
         sol = solve(sys, [TanhPoly([0.3, 0.7])], 4)
         assert sol.series[0].coeffs[0] == TanhPoly([0.3, 0.7])
-        assert all(p == TanhPoly.zero() for p in sol.series[0].coeffs[1:])
+        assert all(p == TanhPoly([0.0]) for p in sol.series[0].coeffs[1:])
 
     def test_linear_growth_matches_exponential(self):
         # u' = c*u from constant a has coefficients a*c^j/j!.
@@ -116,7 +117,7 @@ class TestResidual:
         for sa, sb in zip(a.series, b.series):
             for pa, pb in zip(sa.coeffs, sb.coeffs):
                 scale = max(pa.max_abs(), pb.max_abs(), 1.0)
-                assert (pa - pb).max_abs() / scale < 1e-13
+                assert TanhPoly(sub_rows(pa.row(), pb.row())).max_abs() / scale < 1e-13
 
 
 class TestAgainstExactWaves:
@@ -220,23 +221,50 @@ def test_handmade_solution_residual_measures_imbalance():
     assert residual(wrong_sys, tampered) > 0.4
 
 
-# The whole-series evaluation that solve() ran before it advanced one row
-# per order: at every order j each node recomputes its rows 0..j, as a list
-# of TanhPoly rows with products through the dense loops of test_kernels,
-# not the package's kernel, and only row j is kept.  It is the reference
-# the row evaluator must match bit for bit.
+# The bitwise reference: the whole-series evaluation that solve() ran
+# before it advanced one row per order, on plain lists of Python floats.
+# At every order j each node recomputes its rows 0..j, with products
+# through the dense loops of test_kernels, not the package's kernel, and
+# only row j is kept.  It uses none of the package's arithmetic, so the
+# row evaluator must match code that is independent of it, bit for bit.
+def _trim(row):
+    n = len(row)
+    while n > 1 and row[n - 1] == 0.0:
+        n -= 1
+    return row[:n]
+
+
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _neg(a):
+    return [-c for c in a]
+
+
+def _dx(a):
+    dp = [i * c for i, c in enumerate(a)][1:]
+    return _trim(_Dense.conv(dp, [1.0, 0.0, -1.0])) if dp else [0.0]
+
+
 def _reference_eval_rhs(system, state, order):
-    trunc = [list(s.coeffs[: order + 1]) for s in state]
+    """Every right-hand side's rows 0..order, as lists, from the state's
+    rows (one list of rows per field)."""
+    trunc = [rows[: order + 1] for rows in state]
     assert all(len(rows) == order + 1 for rows in trunc)
     deriv_cache = {}
 
     def product(a, b):
-        rows = _Dense.series_product([p.coeffs for p in a], [p.coeffs for p in b], order)
-        return [TanhPoly(row) for row in rows]
+        return [_trim(row) for row in _Dense.series_product(a, b, order)]
 
     def ev(node):
         if isinstance(node, Const):
-            return [TanhPoly([float(node.value)])] + [TanhPoly.zero()] * order
+            return [[float(node.value)]] + [[0.0]] * order
         if isinstance(node, Field):
             return trunc[node.index]
         if isinstance(node, Deriv):
@@ -244,19 +272,18 @@ def _reference_eval_rhs(system, state, order):
             if key not in deriv_cache:
                 rows = trunc[node.index]
                 for _ in range(node.order):
-                    rows = [p.dx() for p in rows]
+                    rows = [_dx(row) for row in rows]
                 deriv_cache[key] = rows
             return deriv_cache[key]
         if isinstance(node, Add):
-            return [a + b for a, b in zip(ev(node.left), ev(node.right))]
+            return [_add(a, b) for a, b in zip(ev(node.left), ev(node.right))]
         if isinstance(node, Sub):
-            # Through negation, not TanhPoly.__sub__, so that the bitwise
-            # tests check __sub__ against a second formula.
-            return [a + (-b) for a, b in zip(ev(node.left), ev(node.right))]
+            # Through negation, a second formula for sub_rows' one pass.
+            return [_add(a, _neg(b)) for a, b in zip(ev(node.left), ev(node.right))]
         if isinstance(node, Mul):
             return product(ev(node.left), ev(node.right))
         if isinstance(node, Neg):
-            return [-a for a in ev(node.operand)]
+            return [_neg(a) for a in ev(node.operand)]
         if isinstance(node, Pow):
             base = ev(node.base)
             out = base
@@ -265,22 +292,26 @@ def _reference_eval_rhs(system, state, order):
             return out
         raise TypeError(f"not an expression node: {node!r}")
 
-    return tuple(TimeSeries(ev(eq)) for eq in system.equations)
+    return [ev(eq) for eq in system.equations]
 
 
 def _reference_solve(system, initial, order):
-    columns = [[p] for p in initial]
+    columns = [[list(p.coeffs)] for p in initial]
     for j in range(order):
-        state = [TimeSeries(col) for col in columns]
-        rhs = _reference_eval_rhs(system, state, j)
+        rhs = _reference_eval_rhs(system, columns, j)
         for col, r in zip(columns, rhs):
-            col.append(r.coeffs[j] / (j + 1))
-    return tuple(TimeSeries(col) for col in columns)
+            col.append(_trim([c / (j + 1) for c in r[j]]))
+    return columns
 
 
-def _bits(series):
-    """Every coefficient as its IEEE bytes, so the sign of zero counts."""
-    return [[[struct.pack("<d", c) for c in p.coeffs] for p in s.coeffs] for s in series]
+def _rows(series):
+    return [[p.coeffs for p in s.coeffs] for s in series]
+
+
+def _bits(columns):
+    """Every coefficient of rows per field as its IEEE bytes, so the sign
+    of zero counts."""
+    return [[[struct.pack("<d", c) for c in row] for row in rows] for rows in columns]
 
 
 _SYSTEMS = {name: (fx.system, fx.initial, 20) for name, fx in FIXTURES.items()}
@@ -365,8 +396,9 @@ def test_row_evaluator_matches_whole_series_evaluation_bitwise(name):
     system, initial, order = _SYSTEMS[name]
     expected = _reference_solve(system, initial, order)
     sol = solve(system, initial, order)
-    assert _bits(sol.series) == _bits(expected)
-    assert _bits(eval_rhs(system, expected, order)) == _bits(
+    assert _bits(_rows(sol.series)) == _bits(expected)
+    state = [TimeSeries(rows) for rows in expected]
+    assert _bits(_rows(eval_rhs(system, state, order))) == _bits(
         _reference_eval_rhs(system, expected, order)
     )
 
@@ -440,15 +472,14 @@ def test_each_derivative_row_is_one_dx(name, monkeypatch):
 
 
 def test_long_left_deep_sum_solves(tmp_path, capsys):
-    # 4,999 nested Adds, deeper than Python's recursion limit: compiling,
-    # max_spatial_order and pretty() walk the tree with their own stack,
-    # and nodes are not looked up by hashing the tree, which recurses.
+    # 4,999 nested Adds, deeper than Python's recursion limit: compiling
+    # and pretty() walk the tree with their own stack, and nodes are not
+    # looked up by hashing the tree, which recurses.
     source = "u' = " + " + ".join(["u"] * 5000)
     system = parse_system(source)
     sol = solve(system, [TanhPoly([0, 1])], 2)
     assert sol.series[0].coeffs[1] == TanhPoly([0, 5000])
     assert sol.series[0].coeffs[2] == TanhPoly([0, 12_500_000])
-    assert system.max_spatial_order == 0
     # Compared as text: == on the dataclass trees recurses.
     assert system.pretty() == source
     assert parse_system(system.pretty()).pretty() == source
