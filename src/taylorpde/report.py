@@ -1,16 +1,19 @@
 """Experiment tables and figures with byte-deterministic output.
 
-Everything here is a pure function of its arguments: rows are emitted
-in sorted (field, x, t, order) order, floats are formatted with repr-exact
-precision ('.17g'), and files use '\n' endings, so re-running a command
-reproduces identical bytes.  CSV metadata lives in leading '# key: value'
-comment lines and survives a parse round trip.
+Everything here is a pure function of its arguments: error-table rows
+come with fields in system order, x and t in the order given and orders
+sorted; floats are formatted with repr-exact precision ('.17g'), and files
+use '\n' endings, so re-running a command reproduces identical bytes.
+CSV metadata lives in leading '# key: value' comment lines and survives a
+parse round trip.
 
-to_csv writes each row with one %-template, built once per row type
-signature from a spec per cell: '%.17g' for a float, '%d' for an int and
-'%s' for a str (exact types only).  A row holding any other type (bool,
-numpy scalars, subclasses, Fraction) falls back to format_cell, cell by
-cell, so both paths give the same text and booleans are still refused.
+to_csv writes column by column, and each column's text equals format_cell's
+cell by cell.  A column of exact floats is formatted once per distinct
+value, keyed on its 64-bit pattern: a key by value would give -0.0 the
+text of 0.0, which equals it, and would never find nan, which equals
+nothing.  A column of exact ints is written with str and one of exact
+strs as it is; any other mix (bool, numpy scalars, subclasses, Fraction)
+goes through format_cell, so booleans are still refused.
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from . import fixtures
+from ._backend import quiet
 from .errors import ConfigError
 from .pade import pade_fit
 from .solver import solve
-from .waves import partial_sum
 
 _FLOAT_FMT = ".17g"
+_FLOAT_SPEC = "%" + _FLOAT_FMT
 
 
 def format_cell(value) -> str:
@@ -58,17 +64,18 @@ class Table(NamedTuple):
     meta: tuple[tuple[str, str], ...] = ()
 
 
-# %-spec of each cell type a row template covers; each gives format_cell's text.
-_CELL_SPECS = {float: "%" + _FLOAT_FMT, int: "%d", str: "%s"}
-
-
-def _row_template(signature: tuple[type, ...]) -> str | None:
-    """%-template of a row with these exact cell types, or None when a type
-    needs format_cell."""
-    try:
-        return ",".join(_CELL_SPECS[kind] for kind in signature)
-    except KeyError:
-        return None
+def _column_texts(column: tuple) -> list[str]:
+    """format_cell's text of every cell of one column."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        bits, inverse = np.unique(np.array(column).view(np.int64), return_inverse=True)
+        texts = list(map(_FLOAT_SPEC.__mod__, bits.view(np.float64).tolist()))
+        return np.array(texts, dtype=object)[inverse].tolist()
+    if kinds == {int}:
+        return list(map(str, column))
+    if kinds == {str}:
+        return list(column)
+    return [format_cell(cell) for cell in column]
 
 
 def to_csv(table: Table) -> str:
@@ -76,20 +83,21 @@ def to_csv(table: Table) -> str:
     line per row, each line ending in '\\n'.
 
     Every cell reads as format_cell writes it; booleans raise TypeError.
-    How rows are written is in the module docstring.
+    A table without columns, or a row whose cell count differs from the
+    header's, raises ConfigError, as from_csv would on reading it back.
+    How columns are written is in the module docstring.
     """
+    width = len(table.columns)
+    if not width:
+        raise ConfigError("a table needs at least one column")
+    for row in table.rows:
+        if len(row) != width:
+            raise ConfigError(f"row has {len(row)} cells but the header has {width}")
     lines = [f"# {key}: {value}" for key, value in table.meta]
     lines.append(",".join(table.columns))
-    templates: dict[tuple[type, ...], str | None] = {}
-    for row in table.rows:
-        signature = tuple(map(type, row))
-        if signature not in templates:
-            templates[signature] = _row_template(signature)
-        template = templates[signature]
-        if template is None:
-            lines.append(",".join(format_cell(cell) for cell in row))
-        else:
-            lines.append(template % (row if isinstance(row, tuple) else tuple(row)))
+    texts = [_column_texts(column) for column in zip(*table.rows)]
+    lines.extend(map(",".join, zip(*texts)))
+    del texts  # so that the column texts do not live alongside the joined text
     return "\n".join(lines) + "\n"
 
 
@@ -139,14 +147,30 @@ def _require_finite(name: str, values) -> None:
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
+@quiet
+def _horner(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """partial_sum of each row of `coeffs` (..., n+1) at each of `ts`,
+    shape (..., len(ts)).
+
+    The same IEEE multiply and add per element as partial_sum's loop, from
+    the top coefficient down and starting from 0.0; numpy does not fuse
+    them, so the bits are the same.  Overflow gives inf or nan silently.
+    """
+    acc = np.zeros(coeffs.shape[:-1] + ts.shape)
+    for j in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = acc * ts + coeffs[..., j, None]
+    return acc
+
+
 def error_table(fixture: str, orders, xs, ts) -> Table:
     """Absolute error of truncated series against the exact waves.
 
-    One row per (field, x, t, order), in that sort order; each row also
-    carries the convergence radius at its x and the ratio t/R so rows
-    outside the disk of convergence are easy to filter.  One solve at the
-    largest order supplies every truncation, since lower orders are its
-    prefixes.
+    One row per (field, x, t, order): fields in system order, x and t in
+    the order given, orders sorted.  Each row also carries the convergence
+    radius at its x and the ratio t/R, so rows outside the disk of
+    convergence are easy to filter.  One solve at the largest order
+    supplies every truncation, since lower orders are its prefixes, and
+    each truncation is one Horner pass over the whole (x, t) grid.
     """
     fx, orders = _fixture_and_orders(fixture, orders)
     _require_finite("x values", xs)
@@ -158,18 +182,45 @@ def error_table(fixture: str, orders, xs, ts) -> Table:
     if not ts:
         raise ConfigError("error_table needs at least one t value")
     solution = solve(fx.system, fx.initial, orders[-1])
-    rows = []
-    for name, series, wave in zip(fx.system.fields, solution.series, fx.waves):
-        for x in xs:
-            radius = wave.convergence_radius(x)
-            coeffs = [p(x) for p in series.coeffs]
-            for t in ts:
-                exact = wave(x, t)
-                for n in orders:
-                    approx = partial_sum(coeffs[: n + 1], t)
-                    rows.append(
-                        (name, x, t, n, approx, exact, abs(approx - exact), radius, t / radius)
-                    )
+    t_row = np.array(ts, dtype=float)
+    approx, exact, radius = [], [], []
+    for series, wave in zip(solution.series, fx.waves):
+        coeffs = np.array([[p(x) for p in series.coeffs] for x in xs])
+        approx.append(np.stack([_horner(coeffs[:, : n + 1], t_row) for n in orders], axis=-1))
+        exact.append([[wave(x, t) for t in ts] for x in xs])
+        radius.append([wave.convergence_radius(x) for x in xs])
+    # Axes (field, x, t, order); each column broadcasts to the full grid.
+    approx = np.array(approx)
+    exact = np.array(exact)[..., None]
+    radius = np.array(radius)[:, :, None, None]
+    abs_error = np.abs(approx - exact)
+    with np.errstate(over="ignore"):
+        # A huge t over a radius below 1 is inf, silently, as in Python.
+        t_over_radius = t_row[:, None] / radius
+    shape = approx.shape
+
+    def column(values: np.ndarray) -> list:
+        # Broadcast as Python objects, so a value repeated along the grid
+        # is one object in every row that holds it.
+        return np.broadcast_to(values.astype(object), shape).ravel().tolist()
+
+    def objects(values, axis: int) -> list:
+        """The given objects themselves, along one axis of the grid."""
+        along = [1] * len(shape)
+        along[axis] = -1
+        return column(np.array(values, dtype=object).reshape(along))
+
+    rows = zip(
+        objects(fx.system.fields, 0),
+        objects(xs, 1),
+        objects(ts, 2),
+        objects(orders, 3),
+        column(approx),
+        column(exact),
+        column(abs_error),
+        column(radius),
+        column(t_over_radius),
+    )
     meta = (
         ("fixture", fx.name),
         ("orders", " ".join(str(n) for n in orders)),
@@ -229,14 +280,13 @@ def divergence_figure(
         approximant = pade_fit(coeffs[: L + M + 1], L, M)
         columns.append(f"pade[{L}/{M}]")
 
-    rows = []
-    for i in range(samples):
-        t = t_max * i / (samples - 1)
-        row = [t, wave(x, t)]
-        row.extend(partial_sum(coeffs[: n + 1], t) for n in orders)
-        if approximant is not None:
-            row.append(approximant(t))
-        rows.append(tuple(row))
+    ts = [t_max * i / (samples - 1) for i in range(samples)]
+    t_row, coeff_row = np.array(ts), np.array(coeffs)
+    cells = [ts, [wave(x, t) for t in ts]]
+    cells.extend(_horner(coeff_row[: n + 1], t_row).tolist() for n in orders)
+    if approximant is not None:
+        cells.append([approximant(t) for t in ts])
+    rows = zip(*cells)
 
     meta = [
         ("fixture", fx.name),

@@ -87,8 +87,9 @@ def builtin_waves() -> tuple[TravelingWave, TravelingWave, TravelingWave]:
 def partial_sum(coeffs: Sequence[float], t: float) -> float:
     """Evaluate a truncated scalar series at t by Horner's rule.
 
-    The package's one Horner loop: TanhPoly and TimeSeries (in w and in t)
-    and PadeApproximant (numerator and denominator) all evaluate through it.
+    The package's one scalar Horner loop: TanhPoly and TimeSeries (in w and
+    in t) and PadeApproximant (numerator and denominator) all evaluate
+    through it, and the report's array Horner takes the same steps.
     """
     acc = 0.0
     for c in reversed(coeffs):

@@ -88,6 +88,52 @@ class TestSolve:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        ("argv", "files"),
+        [
+            (
+                [
+                    "table",
+                    "--fixture", "coupled",
+                    "--orders", "5,10,15,20",
+                    "--x=" + ",".join(repr(-10.0 + 0.5 * k) for k in range(41)),
+                    "--t", "0.0125:0.5:0.0125",
+                ],
+                {
+                    "error_table.csv":
+                        "2b46e40a3fe4a56f01846b97706406693624aee2c0390f4de2872e9e98af865a",
+                },
+            ),
+            (
+                [
+                    "figure",
+                    "--fixture", "riccati",
+                    "--orders", "5,15,25",
+                    "--pade", "7,8",
+                    "--samples", "2001",
+                    "--svg",
+                ],
+                {
+                    "divergence.csv":
+                        "598e37badc9def6bc5247aaeca2a035e07f1fcc86e07a7c9cfecee22ed037a87",
+                    "divergence.svg":
+                        "785592d4a964abdaf4d3663e5ed31ed0e57fb88d4838d7786d8a48aceedb27ec",
+                },
+            ),
+        ],
+        ids=["table", "figure"],
+    )
+    def test_report_bytes_are_pinned(self, argv, files, tmp_path, capsys):
+        # The divergence-report benchmark's table and figure commands.
+        # Unlike the coefficients, these bytes also take math.tanh from the
+        # C library and the Pade fit from numpy's LAPACK, so they are pinned
+        # for one platform; a change to the report layer must keep them.
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for name, sha256 in files.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == sha256, name
+
 
 class TestTimeRange:
     @pytest.mark.parametrize(

@@ -9,11 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taylorpde import (
+    FIXTURES,
     ConfigError,
     Table,
     divergence_figure,
     error_table,
     from_csv,
+    pade_fit,
+    partial_sum,
     render_figure_svg,
     solve,
     to_csv,
@@ -25,6 +28,66 @@ PAPER_XS = (-15.0, -10.0, -5.0, 5.0, 10.0)
 PAPER_TS = (0.1, 0.2, 0.3, 0.4, 0.5)
 PAPER_ARGS = dict(fixture="riccati", orders=(2, 5), xs=PAPER_XS, ts=PAPER_TS)
 FIGURE_ARGS = dict(fixture="riccati", orders=(5, 15), x=0.0, pade=(7, 8), t_max=0.5, samples=21)
+
+
+BENCHMARK_GRID = dict(
+    fixture="coupled",
+    orders=(5, 10, 15, 20),
+    xs=tuple(-10.0 + 0.5 * k for k in range(41)),
+    ts=tuple(0.0125 * k for k in range(1, 41)),
+)
+
+
+def _per_cell_error_table(fixture, orders, xs, ts):
+    """The rows of error_table, one partial_sum per cell in a triple loop;
+    kept as the bitwise reference for its whole-grid Horner passes."""
+    fx = FIXTURES[fixture]
+    orders = sorted(orders)
+    solution = solve(fx.system, fx.initial, orders[-1])
+    rows = []
+    for name, series, wave in zip(fx.system.fields, solution.series, fx.waves):
+        for x in xs:
+            radius = wave.convergence_radius(x)
+            coeffs = [p(x) for p in series.coeffs]
+            for t in ts:
+                exact = wave(x, t)
+                for n in orders:
+                    approx = partial_sum(coeffs[: n + 1], t)
+                    rows.append(
+                        (name, x, t, n, approx, exact, abs(approx - exact), radius, t / radius)
+                    )
+    return rows
+
+
+def _per_sample_figure(fixture, orders, x, pade, t_max, samples):
+    """The rows of divergence_figure, one sample at a time; kept as the
+    bitwise reference for its Horner pass per truncation."""
+    fx = FIXTURES[fixture]
+    orders = sorted(orders)
+    needed = orders[-1] if pade is None else max(orders[-1], sum(pade))
+    series = solve(fx.system, fx.initial, needed).series[0]
+    wave = fx.waves[0]
+    coeffs = [p(x) for p in series.coeffs]
+    approximant = None if pade is None else pade_fit(coeffs[: sum(pade) + 1], *pade)
+    rows = []
+    for i in range(samples):
+        t = t_max * i / (samples - 1)
+        row = [t, wave(x, t)]
+        row.extend(partial_sum(coeffs[: n + 1], t) for n in orders)
+        if approximant is not None:
+            row.append(approximant(t))
+        rows.append(tuple(row))
+    return rows
+
+
+def _assert_same_rows(got, want):
+    """Rows equal by repr, so -0.0 differs from 0.0 and an int cell from a
+    float; a mismatch names its first differing row."""
+    got, want = list(map(repr, got)), list(map(repr, want))
+    if got != want:
+        pairs = zip_longest(got, want)
+        i, (a, b) = next((i, ab) for i, ab in enumerate(pairs) if ab[0] != ab[1])
+        pytest.fail(f"row {i}: got {a}, reference {b}")
 
 
 def paper_table_with(**overrides):
@@ -127,6 +190,37 @@ class TestErrorTable:
         row = next(r for r in paper_table.rows if r[1] == 10.0 and r[2] == 0.1 and r[3] == 5)
         assert row[6] < 1e-8
 
+    def test_row_order_follows_the_grids(self):
+        # Fields in system order, x and t as given (not sorted), orders sorted.
+        table = error_table("coupled", (7, 3), xs=(5.0, -5.0), ts=(0.2, 0.1))
+        keys = [row[:4] for row in table.rows]
+        assert keys == [
+            (f, x, t, n)
+            for f in ("u", "v", "z")
+            for x in (5.0, -5.0)
+            for t in (0.2, 0.1)
+            for n in (3, 7)
+        ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            BENCHMARK_GRID,
+            # Signed and int zeros, int t, t past the radius, a t whose
+            # Horner pass overflows to inf and one whose ratio t/R does.
+            dict(
+                fixture="coupled",
+                orders=(20, 3, 9),
+                xs=(2.5, 0, -3.0, 1e308),
+                ts=(-0.0, 0, 0.0, 0.125, 1, 2, 1e200, 1e308),
+            ),
+            dict(fixture="riccati", orders=(1,), xs=(-0.0,), ts=(3,)),
+        ],
+        ids=["benchmark", "edge", "riccati"],
+    )
+    def test_matches_per_cell_reference(self, args):
+        _assert_same_rows(error_table(**args).rows, _per_cell_error_table(**args))
+
     def test_multi_field_fixture_emits_all_fields(self):
         table = error_table("coupled", (3,), xs=(5.0,), ts=(0.1,))
         assert [row[0] for row in table.rows] == ["u", "v", "z"]
@@ -205,6 +299,18 @@ class TestDivergenceFigure:
             for row in table.rows:
                 assert row[ci] == series.eval(2.5, row[0])
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            dict(fixture="riccati", orders=(5, 15, 25), x=0.0, pade=(7, 8), t_max=0.5, samples=2001),
+            dict(fixture="coupled", orders=(12, 3), x=-2.5, pade=None, t_max=3, samples=101),
+            dict(fixture="riccati", orders=(40,), x=0.0, pade=(2, 2), t_max=1e300, samples=2),
+        ],
+        ids=["pade", "coupled", "overflow"],
+    )
+    def test_matches_per_sample_reference(self, args):
+        _assert_same_rows(divergence_figure(**args).rows, _per_sample_figure(**args))
+
 
 class TestCsv:
     def test_float_formatting_round_trips(self):
@@ -240,6 +346,18 @@ class TestCsv:
     def test_ragged_row(self):
         with pytest.raises(ConfigError):
             from_csv("a,b\n1\n")
+
+    @pytest.mark.parametrize("rows", [((1, 2.5), (1,)), ([1.5, "s", 3],)])
+    def test_writer_refuses_ragged_rows(self, rows):
+        # to_csv writes only what from_csv reads back, with its message.
+        n = len(rows[-1])
+        with pytest.raises(ConfigError, match=f"^row has {n} cells but the header has 2$"):
+            to_csv(Table(("a", "b"), rows))
+
+    @pytest.mark.parametrize("rows", [(), ((),)])
+    def test_writer_refuses_no_columns(self, rows):
+        with pytest.raises(ConfigError, match="^a table needs at least one column$"):
+            to_csv(Table((), rows))
 
     def test_missing_header(self):
         with pytest.raises(ConfigError):
@@ -296,21 +414,22 @@ _CELLS = {
 
 @st.composite
 def _mixed_tables(draw):
-    """Tables whose rows come from a few shapes (sequences of cell kinds),
-    so type signatures repeat, given as tuples or lists."""
-    shapes = draw(
-        st.lists(st.lists(st.sampled_from(sorted(_CELLS)), max_size=6), min_size=1, max_size=3)
-    )
+    """Tables whose rows come from a few shapes (sequences of cell kinds, each
+    as wide as the header), so a column holds one exact type or a mix; rows
+    are given as tuples or lists."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    kinds = st.lists(st.sampled_from(sorted(_CELLS)), min_size=width, max_size=width)
+    shapes = draw(st.lists(kinds, min_size=1, max_size=3))
     rows = []
     for _ in range(draw(st.integers(min_value=0, max_value=10))):
         cells = [draw(_CELLS[kind]) for kind in draw(st.sampled_from(shapes))]
         rows.append(tuple(cells) if draw(st.booleans()) else cells)
-    return Table(("a", "b"), tuple(rows), (("k", "v"),))
+    return Table(tuple(f"c{i}" for i in range(width)), tuple(rows), (("k", "v"),))
 
 
 class TestRowTemplates:
-    """to_csv writes rows through cached %-templates; every byte must equal
-    the per-cell writer's."""
+    """to_csv formats whole columns, each float once per distinct bit
+    pattern; every byte must equal the per-cell writer's."""
 
     @given(_mixed_tables())
     def test_matches_per_cell_writer(self, table):
@@ -318,10 +437,11 @@ class TestRowTemplates:
 
     def test_known_cells(self):
         row = (-0.0, math.nan, -math.inf, 5e-324, 1e300, 10**20, -(2**70), "w", 0.1 + 0.2)
-        table = Table(("c",), (row, list(row)))
+        table = Table(tuple("abcdefghi"), (row, list(row), (0.0, -math.nan, math.inf) + row[3:]))
         line = "-0,nan,-inf,4.9406564584124654e-324,1.0000000000000001e+300,"
         line += "100000000000000000000,-1180591620717411303424,w,0.30000000000000004"
-        assert to_csv(table) == f"c\n{line}\n{line}\n"
+        last = "0,nan,inf" + line[len("-0,nan,-inf"):]
+        assert to_csv(table) == f"a,b,c,d,e,f,g,h,i\n{line}\n{line}\n{last}\n"
         _assert_same_csv(table)
 
     def test_subclass_cells_use_format_cell(self):
@@ -333,14 +453,12 @@ class TestRowTemplates:
     def test_bool_anywhere_rejected(self, position, as_list):
         row = [1.5, 7, "s"]
         row.insert(position, True)
-        table = Table(("a",), ((2.5, 3, "t", 4), row if as_list else tuple(row)))
+        table = Table(("a", "b", "c", "d"), ((2.5, 3, "t", 4), row if as_list else tuple(row)))
         with pytest.raises(TypeError, match="^boolean cells are not supported$"):
             to_csv(table)
 
     def test_benchmark_error_table_matches_per_cell_writer(self):
-        xs = tuple(-10.0 + 0.5 * k for k in range(41))
-        ts = tuple(0.0125 * k for k in range(1, 41))
-        table = error_table("coupled", (5, 10, 15, 20), xs, ts)
+        table = error_table(**BENCHMARK_GRID)
         assert len(table.rows) == 3 * 41 * 40 * 4
         _assert_same_csv(table)
 
