@@ -114,14 +114,14 @@ def _cmd_solve(args) -> int:
     system, initial = _load_system(args)
     solution = solve(system, initial, args.order)
     if args.print_coeffs:
-        width = max(p.degree for s in solution.series for p in s.coeffs) + 1
+        # One line per (order, field), each row padded with 0.0 to the widest.
+        orders = range(args.order + 1)
+        polys = [series.coeffs[j].coeffs for j in orders for series in solution.series]
+        width = max(map(len, polys))
         columns = ("order", "field") + tuple(f"c{d}" for d in range(width))
-        rows = []
-        for j in range(args.order + 1):
-            for name, series in zip(system.fields, solution.series):
-                cells = series.coeffs[j].coeffs
-                rows.append((j, name, *cells, *(0.0,) * (width - len(cells))))
-        print(to_csv(Table(columns, tuple(rows))), end="")
+        cells = [tuple(j for j in orders for _ in system.fields), system.fields * len(orders)]
+        cells.extend(tuple(c[d] if d < len(c) else 0.0 for c in polys) for d in range(width))
+        print(to_csv(Table(columns, tuple(cells))), end="")
     else:
         print(f"fields: {', '.join(system.fields)}")
         print(f"order: {args.order}")
@@ -173,8 +173,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_radius(args) -> int:
     wave = builtin_waves()[0]
-    rows = tuple((x, wave.convergence_radius(x)) for x in _parse_floats(args.x, "--x"))
-    print(to_csv(Table(("x", "radius"), rows)), end="")
+    xs = _parse_floats(args.x, "--x")
+    print(to_csv(Table(("x", "radius"), (xs, tuple(map(wave.convergence_radius, xs))))), end="")
     return 0
 
 

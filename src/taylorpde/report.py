@@ -1,24 +1,27 @@
 """Experiment tables and figures with byte-deterministic output.
 
-Everything here is a pure function of its arguments: error-table rows
-come with fields in system order, x and t in the order given and orders
-sorted; floats are formatted with repr-exact precision ('.17g'), and files
-use '\n' endings, so re-running a command reproduces identical bytes.
-CSV metadata lives in leading '# key: value' comment lines and survives a
-parse round trip.
+Everything here is a pure function of its arguments.  A Table holds its
+cells column by column; Table.rows is a view derived from them, which
+only Table's equality reads.  Error-table rows come with fields in system
+order, x and t in the order given and orders sorted; floats are formatted
+with repr-exact precision ('.17g'), and files use '\n' endings, so
+re-running a command reproduces identical bytes.  CSV metadata lives in
+leading '# key: value' comment lines and survives a parse round trip.
 
 to_csv writes column by column, and each column's text equals format_cell's
-cell by cell.  A column of exact floats is formatted once per distinct
-value, keyed on its 64-bit pattern: a key by value would give -0.0 the
-text of 0.0, which equals it, and would never find nan, which equals
-nothing.  A column of exact ints is written with str and one of exact
-strs as it is; any other mix (bool, numpy scalars, subclasses, Fraction)
-goes through format_cell, so booleans are still refused.
+cell by cell.  A float64 array or a column of exact floats is formatted
+once per distinct value, keyed on its 64-bit pattern: a key by value would
+give -0.0 the text of 0.0, which equals it, and would never find nan, which
+equals nothing.  A column of exact ints is written with str once per value
+and one of exact strs as it is; any other mix (bool, numpy scalars,
+subclasses, Fraction) goes through format_cell, so booleans are refused.
+A string cell or column name that from_csv would misread is refused.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -46,36 +49,69 @@ def format_cell(value) -> str:
 
 
 def _parse_cell(text: str):
+    """The cell that format_cell wrote as `text`: an int, a float ('-0' is
+    the float -0.0, as no int is written so) or else the string itself."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    return -0.0 if value == 0 and "-" in text else value
 
 
 class Table(NamedTuple):
-    """Columns, rows of (str | int | float) cells, and metadata pairs."""
+    """Column names, the cells of each column (a sequence of str, int or
+    float cells, or a float64 array), and metadata pairs.  Tables compare
+    by names, rows and metadata, so an array equals a tuple of its floats."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    cells: tuple
     meta: tuple[tuple[str, str], ...] = ()
 
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The cells row by row, as Python objects, built on each access."""
+        return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.cells)))
 
-def _column_texts(column: tuple) -> list[str]:
-    """format_cell's text of every cell of one column."""
-    kinds = set(map(type, column))
+    def __eq__(self, other):
+        if not isinstance(other, Table):
+            return NotImplemented
+        same = (self.columns, self.rows, self.meta) == (other.columns, other.rows, other.meta)
+        return self is other or same  # rows are new objects, and nan equals no other nan
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None  # array columns have no hash
+
+
+def _misread(text: str, first: bool, alone: bool) -> bool:
+    """Whether from_csv would misread cell or column name `text`: split it at ',' or a
+    line break, take a line it starts (`first`) as metadata, or skip it empty (`alone`)."""
+    if not text:
+        return alone
+    return "," in text or text.splitlines() != [text] or (first and text[0] == "#")
+
+
+def _column_texts(name: str, column, first: bool, alone: bool) -> list[str]:
+    """format_cell's text of every cell of column `name`; a string cell
+    that from_csv would not read back as itself raises ConfigError."""
+    kinds = {float} if getattr(column, "dtype", None) == np.float64 else set(map(type, column))
     if kinds == {float}:
-        bits, inverse = np.unique(np.array(column).view(np.int64), return_inverse=True)
+        bits, inverse = np.unique(np.asarray(column).view(np.int64), return_inverse=True)
         texts = list(map(_FLOAT_SPEC.__mod__, bits.view(np.float64).tolist()))
         return np.array(texts, dtype=object)[inverse].tolist()
     if kinds == {int}:
-        return list(map(str, column))
-    if kinds == {str}:
-        return list(column)
-    return [format_cell(cell) for cell in column]
+        texts = {cell: str(cell) for cell in set(column)}
+        return list(map(texts.__getitem__, column))
+    exact = kinds == {str}
+    # Each distinct string is checked once, in column order.
+    for text in dict.fromkeys(column if exact else (c for c in column if isinstance(c, str))):
+        if _misread(text, first, alone) or _parse_cell(text) is not text:
+            raise ConfigError(f"column {name!r}: cell {text!r} would not read back as this string")
+    return list(column) if exact else [format_cell(cell) for cell in column]
 
 
 def to_csv(table: Table) -> str:
@@ -83,19 +119,23 @@ def to_csv(table: Table) -> str:
     line per row, each line ending in '\\n'.
 
     Every cell reads as format_cell writes it; booleans raise TypeError.
-    A table without columns, or a row whose cell count differs from the
-    header's, raises ConfigError, as from_csv would on reading it back.
-    How columns are written is in the module docstring.
+    A table without columns, with columns of unequal length, or with a
+    column name or string cell that from_csv would not read back as itself
+    raises ConfigError.  How columns are written is in the module docstring.
     """
-    width = len(table.columns)
+    names, width = table.columns, len(table.columns)
     if not width:
         raise ConfigError("a table needs at least one column")
-    for row in table.rows:
-        if len(row) != width:
-            raise ConfigError(f"row has {len(row)} cells but the header has {width}")
+    lengths = [len(column) for column in table.cells]
+    if len(lengths) != width or len(set(lengths)) > 1:
+        raise ConfigError(f"a header of {width} names over columns of lengths {lengths}")
     lines = [f"# {key}: {value}" for key, value in table.meta]
-    lines.append(",".join(table.columns))
-    texts = [_column_texts(column) for column in zip(*table.rows)]
+    lines.append(",".join(names))
+    texts = []
+    for i, (name, column) in enumerate(zip(names, table.cells)):
+        if _misread(name, i == 0, width == 1):
+            raise ConfigError(f"column name {name!r} would not read back")
+        texts.append(_column_texts(name, column, i == 0, width == 1))
     lines.extend(map(",".join, zip(*texts)))
     del texts  # so that the column texts do not live alongside the joined text
     return "\n".join(lines) + "\n"
@@ -104,7 +144,7 @@ def to_csv(table: Table) -> str:
 def from_csv(text: str) -> Table:
     meta = []
     columns: tuple[str, ...] | None = None
-    rows = []
+    cells: list[list] = []
     for line in text.splitlines():
         if not line:
             continue
@@ -116,16 +156,16 @@ def from_csv(text: str) -> Table:
             meta.append((key, value))
         elif columns is None:
             columns = tuple(line.split(","))
+            cells = [[] for _ in columns]
         else:
-            cells = tuple(_parse_cell(cell) for cell in line.split(","))
-            if len(cells) != len(columns):
-                raise ConfigError(
-                    f"row has {len(cells)} cells but the header has {len(columns)}"
-                )
-            rows.append(cells)
+            texts = line.split(",")
+            if len(texts) != len(columns):
+                raise ConfigError(f"row has {len(texts)} cells but the header has {len(columns)}")
+            for column, cell in zip(cells, texts):
+                column.append(_parse_cell(cell))
     if columns is None:
         raise ConfigError("CSV text has no header row")
-    return Table(columns, tuple(rows), tuple(meta))
+    return Table(columns, tuple(map(tuple, cells)), tuple(meta))
 
 
 def _fixture_and_orders(fixture: str, orders) -> tuple[fixtures.Fixture, list[int]]:
@@ -162,6 +202,17 @@ def _horner(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _coefficients(series, xs) -> np.ndarray:
+    """The (x, power) matrix of `series` at `xs`: one Horner pass in
+    w = tanh(x) over coefficients padded with top zeros, which keep it at
+    +0.0 until each one's own top, so the bits are TanhPoly.__call__'s."""
+    polys = [p.coeffs for p in series.coeffs]
+    padded = np.zeros((len(polys), max(map(len, polys))))
+    for j, coeffs in enumerate(polys):
+        padded[j, : len(coeffs)] = coeffs
+    return _horner(padded, np.array([math.tanh(x) for x in xs])).T
+
+
 def error_table(fixture: str, orders, xs, ts) -> Table:
     """Absolute error of truncated series against the exact waves.
 
@@ -185,7 +236,7 @@ def error_table(fixture: str, orders, xs, ts) -> Table:
     t_row = np.array(ts, dtype=float)
     approx, exact, radius = [], [], []
     for series, wave in zip(solution.series, fx.waves):
-        coeffs = np.array([[p(x) for p in series.coeffs] for x in xs])
+        coeffs = _coefficients(series, xs)
         approx.append(np.stack([_horner(coeffs[:, : n + 1], t_row) for n in orders], axis=-1))
         exact.append([[wave(x, t) for t in ts] for x in xs])
         radius.append([wave.convergence_radius(x) for x in xs])
@@ -197,47 +248,21 @@ def error_table(fixture: str, orders, xs, ts) -> Table:
     with np.errstate(over="ignore"):
         # A huge t over a radius below 1 is inf, silently, as in Python.
         t_over_radius = t_row[:, None] / radius
-    shape = approx.shape
-
-    def column(values: np.ndarray) -> list:
-        # Broadcast as Python objects, so a value repeated along the grid
-        # is one object in every row that holds it.
-        return np.broadcast_to(values.astype(object), shape).ravel().tolist()
-
-    def objects(values, axis: int) -> list:
-        """The given objects themselves, along one axis of the grid."""
-        along = [1] * len(shape)
-        along[axis] = -1
-        return column(np.array(values, dtype=object).reshape(along))
-
-    rows = zip(
-        objects(fx.system.fields, 0),
-        objects(xs, 1),
-        objects(ts, 2),
-        objects(orders, 3),
-        column(approx),
-        column(exact),
-        column(abs_error),
-        column(radius),
-        column(t_over_radius),
-    )
+    # The field, x, t and order cells are the given objects themselves.
+    index = np.indices(approx.shape).reshape(4, -1).tolist()
+    grids = zip((fx.system.fields, xs, ts, orders), index)
+    cells = [tuple(map(values.__getitem__, i)) for values, i in grids]
+    for values in (approx, exact, abs_error, radius, t_over_radius):
+        cells.append(np.broadcast_to(values, approx.shape).ravel())
+        cells[-1].flags.writeable = False  # a returned Table is immutable
     meta = (
         ("fixture", fx.name),
         ("orders", " ".join(str(n) for n in orders)),
         ("error", "abs(series - exact wave)"),
     )
-    columns = (
-        "field",
-        "x",
-        "t",
-        "order",
-        "approx",
-        "exact",
-        "abs_error",
-        "radius",
-        "t_over_radius",
-    )
-    return Table(columns, tuple(rows), meta)
+    columns = ("field", "x", "t", "order", "approx", "exact")
+    columns += ("abs_error", "radius", "t_over_radius")
+    return Table(columns, tuple(cells), meta)
 
 
 def divergence_figure(
@@ -272,21 +297,20 @@ def divergence_figure(
     series = solve(fx.system, fx.initial, needed).series[0]
     wave = fx.waves[0]
     radius = wave.convergence_radius(x)
-    coeffs = [p(x) for p in series.coeffs]
+    coeff_row = _coefficients(series, (x,))[0]
 
     columns = ["t", "exact"] + [f"T{n}" for n in orders]
     approximant = None
     if pade is not None:
-        approximant = pade_fit(coeffs[: L + M + 1], L, M)
+        approximant = pade_fit(coeff_row[: L + M + 1].tolist(), L, M)
         columns.append(f"pade[{L}/{M}]")
 
-    ts = [t_max * i / (samples - 1) for i in range(samples)]
-    t_row, coeff_row = np.array(ts), np.array(coeffs)
-    cells = [ts, [wave(x, t) for t in ts]]
-    cells.extend(_horner(coeff_row[: n + 1], t_row).tolist() for n in orders)
+    ts = tuple(t_max * i / (samples - 1) for i in range(samples))
+    t_row = np.array(ts)
+    cells = [ts, tuple(wave(x, t) for t in ts)]
+    cells.extend(tuple(_horner(coeff_row[: n + 1], t_row).tolist()) for n in orders)
     if approximant is not None:
-        cells.append([approximant(t) for t in ts])
-    rows = zip(*cells)
+        cells.append(tuple(approximant(t) for t in ts))
 
     meta = [
         ("fixture", fx.name),
@@ -297,7 +321,7 @@ def divergence_figure(
     ]
     if pade is not None:
         meta.append(("pade", f"{L}/{M}"))
-    return Table(tuple(columns), tuple(rows), tuple(meta))
+    return Table(tuple(columns), tuple(cells), tuple(meta))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -317,8 +341,7 @@ def render_figure_svg(table: Table) -> str:
     width, height = 720.0, 480.0
     left, right, top, bottom = 64.0, 16.0, 16.0, 48.0
 
-    ts = [row[0] for row in table.rows]
-    exact = [row[1] for row in table.rows]
+    ts, exact = table.cells[0], table.cells[1]
     t_lo, t_hi = ts[0], ts[-1]
     y_lo, y_hi = min(exact), max(exact)
     pad = 0.6 * (y_hi - y_lo) if y_hi > y_lo else 1.0
@@ -337,23 +360,20 @@ def render_figure_svg(table: Table) -> str:
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
 
+    def line(x1, y1, x2, y2, stroke="black", style=' stroke-width="1"') -> None:
+        parts.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{stroke}"{style}/>'
+        )
+
     # Axes with a few labeled ticks.
     axis_y = height - bottom
-    parts.append(
-        f'<line x1="{left:.2f}" y1="{axis_y:.2f}" x2="{width - right:.2f}" '
-        f'y2="{axis_y:.2f}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" '
-        f'y2="{axis_y:.2f}" stroke="black" stroke-width="1"/>'
-    )
+    line(left, axis_y, width - right, axis_y)
+    line(left, top, left, axis_y)
     for i in range(6):
         t = t_lo + (t_hi - t_lo) * i / 5
         px = sx(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{axis_y:.2f}" x2="{px:.2f}" '
-            f'y2="{axis_y + 5:.2f}" stroke="black" stroke-width="1"/>'
-        )
+        line(px, axis_y, px, axis_y + 5)
         parts.append(
             f'<text x="{px:.2f}" y="{axis_y + 20:.2f}" font-size="12" '
             f'text-anchor="middle">{t:.2f}</text>'
@@ -361,10 +381,7 @@ def render_figure_svg(table: Table) -> str:
     for i in range(5):
         v = y_lo + (y_hi - y_lo) * i / 4
         py = sy(v)
-        parts.append(
-            f'<line x1="{left - 5:.2f}" y1="{py:.2f}" x2="{left:.2f}" '
-            f'y2="{py:.2f}" stroke="black" stroke-width="1"/>'
-        )
+        line(left - 5, py, left, py)
         parts.append(
             f'<text x="{left - 8:.2f}" y="{py + 4:.2f}" font-size="12" '
             f'text-anchor="end">{v:.2f}</text>'
@@ -379,33 +396,10 @@ def render_figure_svg(table: Table) -> str:
         radius = float(radius_text)
         if t_lo <= radius <= t_hi:
             px = sx(radius)
-            parts.append(
-                f'<line x1="{px:.2f}" y1="{top:.2f}" x2="{px:.2f}" '
-                f'y2="{axis_y:.2f}" stroke="#888888" stroke-width="1" '
-                f'stroke-dasharray="3 3"/>'
-            )
+            line(px, top, px, axis_y, "#888888", ' stroke-width="1" stroke-dasharray="3 3"')
             parts.append(
                 f'<text x="{px + 4:.2f}" y="{top + 14:.2f}" font-size="12" '
                 f'fill="#555555">R = {radius:.4f}</text>'
-            )
-
-    def polylines(values: list[float], stroke: str, dash_attr: str) -> None:
-        run: list[str] = []
-        segments = []
-        for t, v in zip(ts, values):
-            if y_lo <= v <= y_hi:
-                run.append(f"{sx(t):.2f},{sy(v):.2f}")
-            elif run:
-                segments.append(run)
-                run = []
-        if run:
-            segments.append(run)
-        for seg in segments:
-            if len(seg) < 2:
-                continue
-            parts.append(
-                f'<polyline points="{" ".join(seg)}" fill="none" '
-                f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
             )
 
     curves = list(table.columns[1:])
@@ -413,8 +407,17 @@ def render_figure_svg(table: Table) -> str:
         (_PALETTE[i % len(_PALETTE)], f' stroke-dasharray="{_DASHES[i % len(_DASHES)]}"')
         for i in range(len(curves) - 1)
     ]
-    for ci, (stroke, dash_attr) in enumerate(styles):
-        polylines([row[1 + ci] for row in table.rows], stroke, dash_attr)
+    # Each sample's x coordinate is formatted once, for every curve; each
+    # run of two or more points inside the band is one polyline.
+    x_texts = [f"{sx(t):.2f}," for t in ts]
+    for values, (stroke, dash_attr) in zip(table.cells[1:], styles):
+        for inside, run in groupby(zip(x_texts, values), lambda p: y_lo <= p[1] <= y_hi):
+            points = [f"{x_text}{sy(v):.2f}" for x_text, v in run] if inside else ()
+            if len(points) > 1:
+                parts.append(
+                    f'<polyline points="{" ".join(points)}" fill="none" '
+                    f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
+                )
 
     # Legend, top left inside the frame.
     lx, ly = left + 12.0, top + 12.0
@@ -425,10 +428,7 @@ def render_figure_svg(table: Table) -> str:
     )
     for ci, (name, (stroke, dash_attr)) in enumerate(zip(curves, styles)):
         yy = ly + 18.0 * ci + 6.0
-        parts.append(
-            f'<line x1="{lx:.2f}" y1="{yy:.2f}" x2="{lx + 28:.2f}" y2="{yy:.2f}" '
-            f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
-        )
+        line(lx, yy, lx + 28, yy, stroke, f' stroke-width="1.5"{dash_attr}')
         parts.append(
             f'<text x="{lx + 34:.2f}" y="{yy + 4:.2f}" font-size="12">{name}</text>'
         )

@@ -161,6 +161,16 @@ class TestRadius:
             "5,0.95289729746344409",
         ]
 
+    def test_bytes_are_pinned(self, capsys):
+        # Signed and tiny zeros, a repeated value, ints written as floats
+        # and a radius past the float range.
+        argv = ["radius", "--x=-15,-10.5,-0.0,0,1e-300,2.5,7,1e308"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "1e+308,inf"
+        sha256 = "5e36fc2e7149c21079a2611072db547c7dcdb52fc282a954511e061cb5cf1f08"
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestTableAndFigure:
     def test_table_writes_csv(self, tmp_path):
@@ -260,6 +270,19 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
         if UNKNOWN_FIELD_FILE in args:
             assert "line 1, column 6: unknown field 'w'" in proc.stderr
+
+    @pytest.mark.parametrize("field", ["nan", "inf"])
+    def test_field_that_reads_as_a_number_exits_2(self, field, tmp_path):
+        # The field column of --print-coeffs would read back as a float.
+        path = tmp_path / "number.pde"
+        path.write_text(f"{field}' = {field}_x\n")
+        proc = run(
+            "solve", "--system", str(path), "--init", "0,1", "--order", "2", "--print-coeffs"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        message = f"column 'field': cell {field!r} would not read back as this string"
+        assert proc.stderr == f"error: {message}\n"
 
     def test_missing_init_with_system_file(self, tmp_path):
         path = tmp_path / "ok.pde"

@@ -1,5 +1,7 @@
 import inspect
 import math
+import re
+import struct
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -221,6 +223,12 @@ class TestErrorTable:
     def test_matches_per_cell_reference(self, args):
         _assert_same_rows(error_table(**args).rows, _per_cell_error_table(**args))
 
+    def test_float_columns_are_read_only_arrays(self, paper_table):
+        for column in paper_table.cells[4:]:
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
     def test_multi_field_fixture_emits_all_fields(self):
         table = error_table("coupled", (3,), xs=(5.0,), ts=(0.1,))
         assert [row[0] for row in table.rows] == ["u", "v", "z"]
@@ -314,7 +322,7 @@ class TestDivergenceFigure:
 
 class TestCsv:
     def test_float_formatting_round_trips(self):
-        table = Table(("a",), ((0.1 + 0.2,), (1.0 / 3.0,), (-2.5e-17,)))
+        table = Table(("a",), ((0.1 + 0.2, 1.0 / 3.0, -2.5e-17),))
         text = to_csv(table)
         assert from_csv(text) == table
 
@@ -332,7 +340,7 @@ class TestCsv:
         assert a == b
 
     def test_newline_convention(self):
-        text = to_csv(Table(("a", "b"), ((1, 2.5),), (("k", "v"),)))
+        text = to_csv(Table(("a", "b"), ((1,), (2.5,)), (("k", "v"),)))
         assert text == "# k: v\na,b\n1,2.5\n"
 
     def test_bool_cell_rejected(self):
@@ -347,21 +355,105 @@ class TestCsv:
         with pytest.raises(ConfigError):
             from_csv("a,b\n1\n")
 
-    @pytest.mark.parametrize("rows", [((1, 2.5), (1,)), ([1.5, "s", 3],)])
-    def test_writer_refuses_ragged_rows(self, rows):
-        # to_csv writes only what from_csv reads back, with its message.
-        n = len(rows[-1])
-        with pytest.raises(ConfigError, match=f"^row has {n} cells but the header has 2$"):
-            to_csv(Table(("a", "b"), rows))
+    @pytest.mark.parametrize(
+        ("cells", "lengths"),
+        [
+            (((1, 2.5), (1,)), [2, 1]),
+            (([1.5, "s", 3],), [3]),
+            ((np.array([1.5, 2.5]), (7, 8), ("x",)), [2, 2, 1]),
+        ],
+    )
+    def test_writer_refuses_ragged_rows(self, cells, lengths):
+        # Columns of unequal length, or fewer or more columns than names,
+        # would be ragged rows, which from_csv refuses to read back.
+        message = f"a header of 2 names over columns of lengths {lengths}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            to_csv(Table(("a", "b"), cells))
 
-    @pytest.mark.parametrize("rows", [(), ((),)])
-    def test_writer_refuses_no_columns(self, rows):
+    @pytest.mark.parametrize("cells", [(), ((),)])
+    def test_writer_refuses_no_columns(self, cells):
         with pytest.raises(ConfigError, match="^a table needs at least one column$"):
-            to_csv(Table((), rows))
+            to_csv(Table((), cells))
 
     def test_missing_header(self):
         with pytest.raises(ConfigError):
             from_csv("")
+
+    @pytest.mark.parametrize(
+        ("names", "cells", "bad"),
+        [
+            (("a", "b"), ((1,), ("x,y",)), ("b", "x,y")),
+            (("a", "b"), ((1,), ("x\ny",)), ("b", "x\ny")),
+            (("a", "b"), ((1,), ("x\rz",)), ("b", "x\rz")),
+            (("a", "b"), ((1,), ("x\u2028y",)), ("b", "x\u2028y")),
+            (("a", "b"), ((1, 2), ("w", "1")), ("b", "1")),
+            (("a", "b"), ((1,), ("nan",)), ("b", "nan")),
+            (("a", "b"), ((1,), ("-inf",)), ("b", "-inf")),
+            (("a", "b"), ((1,), (" 7",)), ("b", " 7")),
+            (("a", "b"), ((1,), ("1_000",)), ("b", "1_000")),
+            (("a", "b"), ((1, 2), [2.5, "1e3"]), ("b", "1e3")),
+            (("a", "b"), (("#c",), (1,)), ("a", "#c")),
+            (("a",), (("",),), ("a", "")),
+            (("a", "b"), ((1, 2), [2.5, "0x1p3"]), None),
+            (("a", "b"), (("",), (1,)), None),
+            (("a", "b"), ((1,), ("#c",)), None),
+        ],
+    )
+    def test_writer_refuses_cells_it_cannot_read_back(self, names, cells, bad):
+        # A string cell must read back as that string: no ',' or line
+        # break, no number, no '#' opening a line and no empty line.
+        table = Table(names, cells)
+        if bad is None:
+            assert from_csv(to_csv(table)).rows == table.rows
+        else:
+            message = f"column {bad[0]!r}: cell {bad[1]!r} would not read back as this string"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                to_csv(table)
+
+    @pytest.mark.parametrize(
+        ("names", "bad"),
+        [(("a", "b,c"), "'b,c'"), (("a\n", "b"), "'a\\n'"), (("#a", "b"), "'#a'"), (("",), "''")],
+    )
+    def test_writer_refuses_names_it_cannot_read_back(self, names, bad):
+        table = Table(names, tuple((1,) for _ in names))
+        message = f"column name {bad} would not read back"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            to_csv(table)
+
+    def test_each_distinct_string_is_checked_once(self, monkeypatch):
+        parsed, parse = [], report._parse_cell
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(report, "_parse_cell", counting_parse)
+        to_csv(error_table("coupled", (3, 5), xs=(-1.0, 0.0, 2.0), ts=(0.1, 0.2)))
+        assert parsed == ["u", "v", "z"]
+
+    def test_minus_zero_reads_back_as_a_float(self):
+        table = from_csv(to_csv(Table(("a", "b"), ((-0.0, 0.0, 0), (-0, 1, -1)))))
+        assert list(map(repr, table.cells[0])) == ["-0.0", "0", "0"]
+        assert list(map(repr, table.cells[1])) == ["0", "1", "-1"]
+
+
+class TestTable:
+    def test_rows_are_derived_from_the_columns(self):
+        table = Table(("a", "b"), (np.array([0.5, -0.0]), ("x", "y")))
+        assert table.rows == ((0.5, "x"), (-0.0, "y"))
+        assert all(type(row[0]) is float for row in table.rows)
+
+    def test_equality_reads_cells_not_containers(self):
+        a = Table(("a",), (np.array([0.5, 1.5]),), (("k", "v"),))
+        assert a == Table(("a",), ([0.5, 1.5],), (("k", "v"),))
+        assert a != Table(("a",), ((0.5, 2.5),), (("k", "v"),))
+        assert a != Table(("b",), ((0.5, 1.5),), (("k", "v"),))
+        assert a != Table(("a",), ((0.5, 1.5),))
+        with pytest.raises(TypeError):
+            hash(a)
+        nan = Table(("a",), (np.array([math.nan]),))
+        assert nan == nan
+        assert nan != Table(("a",), (np.array([math.nan]),))
 
 
 def _per_cell_csv(table):
@@ -393,6 +485,27 @@ class _TaggedInt(int):
         return f"n{int(self)}"
 
 
+def _reads_as_text(text):
+    """Whether neither int() nor float() takes `text`, so from_csv reads
+    it back as a string."""
+    for parse in (int, float):
+        try:
+            parse(text)
+        except ValueError:
+            continue
+        return False
+    return True
+
+
+# Characters that neither split a CSV line into cells nor end it:
+# str.splitlines splits at every Cc, Zl and Zp separator.
+_IN_A_CELL = st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters=",")
+# Strings that from_csv reads back as themselves anywhere in a table: no
+# leading '#', not empty and no number.
+_SAFE_TEXT = st.text(_IN_A_CELL, min_size=1, max_size=8).filter(
+    lambda text: text[0] != "#" and _reads_as_text(text)
+)
+
 _special_floats = st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, 1e20]
 )
@@ -403,7 +516,7 @@ _CELLS = {
         st.integers(min_value=2**64, max_value=2**200),
         st.integers(min_value=-(2**200), max_value=-1),
     ),
-    "str": st.text(st.characters(exclude_characters=","), max_size=8),
+    "str": _SAFE_TEXT,
     "other": st.one_of(
         st.one_of(st.floats(), _special_floats).map(np.float64),
         st.integers(min_value=-(2**70), max_value=2**70).map(_TaggedInt),
@@ -414,17 +527,56 @@ _CELLS = {
 
 @st.composite
 def _mixed_tables(draw):
-    """Tables whose rows come from a few shapes (sequences of cell kinds, each
-    as wide as the header), so a column holds one exact type or a mix; rows
-    are given as tuples or lists."""
+    """Tables of 1-6 columns of 0-10 cells.  Each column draws its cells
+    from one or two kinds, so it holds one exact type or a mix; it is given
+    as a tuple or a list, and a column of floats may be a float64 array."""
     width = draw(st.integers(min_value=1, max_value=6))
-    kinds = st.lists(st.sampled_from(sorted(_CELLS)), min_size=width, max_size=width)
-    shapes = draw(st.lists(kinds, min_size=1, max_size=3))
-    rows = []
-    for _ in range(draw(st.integers(min_value=0, max_value=10))):
-        cells = [draw(_CELLS[kind]) for kind in draw(st.sampled_from(shapes))]
-        rows.append(tuple(cells) if draw(st.booleans()) else cells)
-    return Table(tuple(f"c{i}" for i in range(width)), tuple(rows), (("k", "v"),))
+    length = draw(st.integers(min_value=0, max_value=10))
+    cells = []
+    for _ in range(width):
+        kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=2))
+        column = [draw(_CELLS[draw(st.sampled_from(kinds))]) for _ in range(length)]
+        if set(map(type, column)) <= {float} and draw(st.booleans()):
+            column = np.array(column, dtype=float)
+        cells.append(tuple(column) if draw(st.booleans()) else column)
+    return Table(tuple(f"c{i}" for i in range(width)), tuple(cells), (("k", "v"),))
+
+
+def _same_cell(got, want):
+    """A float read back as an int or a float with its own bits; an int or
+    a string as itself."""
+    if isinstance(want, float):
+        return struct.pack("<d", float(got)) == struct.pack("<d", want)
+    return type(got) is type(want) and got == want
+
+
+@st.composite
+def _readable_tables(draw):
+    """Tables of 1-5 columns of 0-8 cells mixing ints, finite floats (with
+    -0.0) and safe strings, under names that from_csv reads back."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    length = draw(st.integers(min_value=0, max_value=8))
+    name = st.text(_IN_A_CELL, min_size=1, max_size=6).filter(lambda text: text[0] != "#")
+    cell = st.one_of(
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.just(-0.0),
+        _SAFE_TEXT,
+    )
+    names = tuple(draw(st.lists(name, min_size=width, max_size=width)))
+    cells = tuple(tuple(draw(st.lists(cell, min_size=length, max_size=length))) for _ in names)
+    return Table(names, cells, (("k", "v"),))
+
+
+class TestRoundTrip:
+    @given(_readable_tables())
+    def test_round_trip_gives_back_every_cell(self, table):
+        back = from_csv(to_csv(table))
+        assert (back.columns, back.meta) == (table.columns, table.meta)
+        assert [len(column) for column in back.cells] == [len(column) for column in table.cells]
+        for got, want in zip(back.rows, table.rows):
+            for g, w in zip(got, want):
+                assert _same_cell(g, w), (g, w)
 
 
 class TestRowTemplates:
@@ -436,8 +588,18 @@ class TestRowTemplates:
         _assert_same_csv(table)
 
     def test_known_cells(self):
-        row = (-0.0, math.nan, -math.inf, 5e-324, 1e300, 10**20, -(2**70), "w", 0.1 + 0.2)
-        table = Table(tuple("abcdefghi"), (row, list(row), (0.0, -math.nan, math.inf) + row[3:]))
+        cells = (
+            (-0.0, -0.0, 0.0),
+            [math.nan, math.nan, -math.nan],
+            np.array([-math.inf, -math.inf, math.inf]),
+            np.array([5e-324] * 3),
+            (1e300,) * 3,
+            (10**20,) * 3,
+            [-(2**70)] * 3,
+            ("w",) * 3,
+            (0.1 + 0.2,) * 3,
+        )
+        table = Table(tuple("abcdefghi"), cells)
         line = "-0,nan,-inf,4.9406564584124654e-324,1.0000000000000001e+300,"
         line += "100000000000000000000,-1180591620717411303424,w,0.30000000000000004"
         last = "0,nan,inf" + line[len("-0,nan,-inf"):]
@@ -445,15 +607,18 @@ class TestRowTemplates:
         _assert_same_csv(table)
 
     def test_subclass_cells_use_format_cell(self):
-        table = Table(("a", "b"), ((1, 2), (1, _TaggedInt(2)), [np.float64(0.5), Fraction(1, 3)]))
+        table = Table(("a", "b"), ((1, 1, np.float64(0.5)), [2, _TaggedInt(2), Fraction(1, 3)]))
         assert to_csv(table) == "a,b\n1,2\n1,n2\n0.5,1/3\n"
 
     @pytest.mark.parametrize("as_list", [False, True])
     @pytest.mark.parametrize("position", range(4))
     def test_bool_anywhere_rejected(self, position, as_list):
-        row = [1.5, 7, "s"]
-        row.insert(position, True)
-        table = Table(("a", "b", "c", "d"), ((2.5, 3, "t", 4), row if as_list else tuple(row)))
+        # A column of floats, of ints, of strings and a mix, one of them
+        # with a boolean cell.
+        columns = [[2.5, 1.5], [3, 7], ["t", "s"], [Fraction(1, 2), 4]]
+        columns[position][1] = True
+        cells = [column if as_list else tuple(column) for column in columns]
+        table = Table(("a", "b", "c", "d"), tuple(cells))
         with pytest.raises(TypeError, match="^boolean cells are not supported$"):
             to_csv(table)
 
