@@ -3,8 +3,10 @@
 Rows are 1-D float64 arrays, and both kernels are numpy.  conv, which
 differentiates rows (one factor is 1 - w**2), adds one scaled copy of
 its left factor per nonzero coefficient of its right factor.
-series_product, the Cauchy product of two series, makes row k as one
-gather of a (terms x width) block, one scale and one column sum.
+series_product, the Cauchy product of two series, makes row k from at
+most two gathered (terms x width) blocks, each scaled and summed by
+column: one takes its terms from the left factor, the other from the
+right.
 
 Both give, for finite inputs, bitwise the results of the dense loops
 (out[p+q] += a[p]*b[q] over every pair, each sum starting at +0.0 and
@@ -15,16 +17,25 @@ adding terms in increasing i, then p):
   of a, the dense order.  It skips the terms of a zero b[j], which are
   signed zeros and leave a sum unchanged: round-to-nearest addition
   never turns the +0.0 start into -0.0.
-- series_product keeps the left factor's nonzero terms in (i, p) order
-  and multiplies each by a window of the zero-padded right row it
-  meets.  numpy reduces axis 0 of a C-contiguous block of two or more
-  columns row by row, which is that same order, so every column is the
-  reference sum plus terms that are signed zeros.  Those can only make
-  a sum that should be +0.0 come out as -0.0, if numpy starts the sum
-  at a -0.0 term instead of at +0.0; a final += 0.0 turns it back and
-  changes no other value.  A one-column block is summed pairwise
-  instead, in another order, so the block is always gathered at least
-  two columns wide and the extra column is dropped.
+- series_product splits row k, the sum over i of a[i] * b[k-i], at the
+  m that makes its blocks shortest.  For i <= m it takes the left
+  factor's nonzero terms a[i][p] in (i, p) order and multiplies each by
+  the window of the zero-padded right row b[k-i] shifted by p.  For
+  i > m it takes the right factor's nonzero terms b[r][q], r = k - i, in
+  descending (r, q) order and multiplies each by the window of the
+  zero-padded left row a[k-r] shifted by q.  Descending r is ascending i,
+  and column c of a row pairs q with p = c - q, so descending q is
+  ascending p: every column meets its terms in the dense order.  numpy
+  reduces axis 0 of a C-contiguous block of two or more columns row by
+  row, and the first row of the second block first adds the first
+  block's column sums (x + y == y + x in IEEE arithmetic), so every
+  column is one sequential sum: the reference sum plus terms that are
+  signed zeros, the products with the other factor's zeros.  Those can
+  only make a sum that should be +0.0 come out as -0.0, if numpy starts
+  the sum at a -0.0 term instead of at +0.0; a final += 0.0 turns it
+  back and changes no other value.  A one-column block is summed
+  pairwise instead, in another order, so blocks are always gathered at
+  least two columns wide and the extra column is dropped.
 
 A zero times inf or nan is nan, so the inputs must be finite;
 solver.solve checks every row it produces.  Finite inputs can still
@@ -72,80 +83,140 @@ def conv(a, b):
     return out
 
 
+class _Factor:
+    """One factor of a product, its rows kept two ways.
+
+    Its nonzero terms a[i][p] are appended to flat arrays of i, p and
+    value, so the terms of rows 0..j are a prefix, ends[j + 1] long.  Its
+    rows are also copied into one zero-padded 2-D array, at columns
+    pad..pad+len-1, with at least as many zeros to their left as the
+    highest power of the other factor and room for the widest product row
+    to their right; window[r, pad - q] is then row r shifted right by q.
+    When a row does not fit, the array and its window view are rebuilt
+    with twice the room that the rows so far need.
+    """
+
+    def __init__(self):
+        self.lengths: list[int] = []
+        self.longest = 1
+        self.size = 0  # terms taken
+        self.rows = np.empty(0, dtype=np.intp)
+        self.powers = np.empty(0, dtype=np.intp)
+        self.values = np.empty(0)
+        self.ends = np.zeros(1, dtype=np.intp)
+        self.pad = 0
+        self.padded = np.zeros((0, 2))
+        self.window = sliding_window_view(self.padded, 2, axis=1)
+
+    def terms(self, k: int):
+        """(i, p, a[i][p]) arrays of the nonzero terms of rows 0..k."""
+        n = self.ends[k + 1]
+        return self.rows[:n], self.powers[:n], self.values[:n]
+
+    def take(self, row, shift: int, need: int) -> None:
+        """Append the next row, which `longest` already counts.  The padded
+        array keeps at least `shift` zeros left of every row and windows
+        `need` columns wide; ends has a slot for each of its rows."""
+        j = len(self.lengths)
+        self.lengths.append(len(row))
+        powers, values = _nonzero(row)
+        n = self.size
+        m = self.size = n + len(powers)
+        if m > len(self.values):
+            self.rows, self.powers, self.values = (
+                np.concatenate((buf[:n], np.empty(max(m, 2 * n), buf.dtype)))
+                for buf in (self.rows, self.powers, self.values)
+            )
+        self.rows[n:m] = j
+        self.powers[n:m] = powers
+        self.values[n:m] = values
+
+        pad = self.pad
+        cap, cols = self.padded.shape
+        if j >= cap or shift > pad or need > cols - pad:
+            new_pad = 2 * shift
+            new_width = 2 * max(need, 1)
+            padded = np.zeros((2 * (j + 1), new_pad + new_width))
+            padded[:cap, new_pad : new_pad + cols - pad] = self.padded[:, pad:]
+            self.padded = padded
+            self.window = sliding_window_view(padded, new_width, axis=1)
+            self.pad = pad = new_pad
+            self.ends = np.concatenate((self.ends[: j + 1], np.empty(len(padded) - j, np.intp)))
+        self.ends[j + 1] = m
+        self.padded[j, pad : pad + len(row)] = row
+
+    def sums(self, k: int, rows, powers, values, cols: int, acc=None) -> np.ndarray:
+        """Column sums, in order and after acc if given, of the terms
+        values[t] times row k - rows[t] shifted right by powers[t], over
+        the first cols columns.
+
+        The block lives only in this call, so the next one can reuse its
+        memory: with two blocks alive at once, the largest rows faulted in
+        fresh pages on every call."""
+        block = self.window[k::-1, self.pad :: -1][rows, powers, :cols]
+        block *= values[:, None]
+        if acc is not None:
+            block[0] += acc
+        return np.add.reduce(block, axis=0)
+
+
 class ProductState:
     """What series_product keeps of its two factors between calls.
 
-    Rows are absorbed in order, once each.  A left row appends its nonzero
-    terms a[i][p] to flat arrays of i, p and value, so the terms of rows
-    0..k are a prefix, terms(k).  A right row is copied into
-    one zero-padded 2-D array, at columns pad..pad+len-1, with at least
-    max(p) zeros to its left and room for the widest product row to its
-    right; window[r, pad - p] is then row r shifted right by p.  When a
-    row does not fit, the array and its window view are rebuilt with
-    twice the room that the rows so far need.
+    Rows are absorbed in order, once each, into one _Factor per distinct
+    factor, left and right: a square (a and b the same list) keeps one.
+    Row k is the sum over i of a[i] * b[k - i], split at split(k) = m:
+    the terms of a's rows 0..m times b's shifted rows, then the terms of
+    b's rows 0..k-m-1, in descending (r, q) order, times a's shifted rows
+    (see the module docstring).  Each block has one row per nonzero term
+    it takes, so a pair is skipped when the factor that supplies its term
+    holds an exact zero there.
     """
 
     def __init__(self):
         self.absorbed = 0
-        self._ends: list[int] = []  # terms of left rows 0..i
-        self._rows = np.empty(0, dtype=np.intp)
-        self._powers = np.empty(0, dtype=np.intp)
-        self._values = np.empty(0)
-        self._len_a: list[int] = []
-        self._len_b: list[int] = []
-        self._max_a = self._max_b = 1
-        self._pad = 0
-        self._right = np.zeros((0, 2))
-        self._window = sliding_window_view(self._right, 2, axis=1)
+        self.left = self.right = None
 
-    def terms(self, k: int):
-        """(i, p, a[i][p]) arrays of the nonzero terms of left rows 0..k."""
-        n = self._ends[k]
-        return self._rows[:n], self._powers[:n], self._values[:n]
+    def absorb(self, a, b, order: int) -> None:
+        """Take in rows absorbed..order of factors a and b, the same two
+        lists on every call."""
+        if self.left is None:
+            self.left = _Factor()
+            self.right = self.left if a is b else _Factor()
+        left, right = self.left, self.right
+        for j in range(self.absorbed, order + 1):
+            row_a, row_b = a[j], b[j]
+            left.longest = max(left.longest, len(row_a))
+            right.longest = max(right.longest, len(row_b))
+            need = left.longest + right.longest - 1
+            left.take(row_a, right.longest - 1, need)
+            if right is not left:
+                right.take(row_b, left.longest - 1, need)
+        self.absorbed = max(self.absorbed, order + 1)
 
-    def absorb(self, row_a, row_b) -> None:
-        """Take in row `absorbed` of each factor."""
-        j = self.absorbed
-        powers, values = _nonzero(row_a)
-        n = self._ends[-1] if j else 0
-        m = n + len(powers)
-        if m > len(self._values):
-            self._rows, self._powers, self._values = (
-                np.concatenate((buf[:n], np.empty(max(m, 2 * n), buf.dtype)))
-                for buf in (self._rows, self._powers, self._values)
-            )
-        self._rows[n:m] = j
-        self._powers[n:m] = powers
-        self._values[n:m] = values
-        self._ends.append(m)
-
-        self._len_a.append(len(row_a))
-        self._len_b.append(len(row_b))
-        self._max_a = max(self._max_a, len(row_a))
-        self._max_b = max(self._max_b, len(row_b))
-        pad = self._pad
-        cap, cols = self._right.shape
-        need = self._max_a + self._max_b - 1
-        if j >= cap or self._max_a - 1 > pad or need > cols - pad:
-            new_pad = 2 * (self._max_a - 1)
-            new_width = 2 * max(need, 1)
-            right = np.zeros((2 * (j + 1), new_pad + new_width))
-            right[:cap, new_pad : new_pad + cols - pad] = self._right[:, pad:]
-            self._right = right
-            self._window = sliding_window_view(right, new_width, axis=1)
-            self._pad = pad = new_pad
-        self._right[j, pad : pad + len(row_b)] = row_b
-        self.absorbed = j + 1
+    def split(self, k: int) -> int:
+        """The m in -1..k, the first if several, whose blocks for row k are
+        shortest: left terms of rows 0..m plus right terms of rows
+        0..k-1-m."""
+        return int((self.left.ends[: k + 2] + self.right.ends[k + 1 :: -1]).argmin()) - 1
 
     def row(self, k: int) -> np.ndarray:
         """Row k of the product; rows 0..k must have been absorbed."""
-        width = max(1, max(map(add, self._len_a[: k + 1], self._len_b[k::-1])) - 1)
-        rows, powers, values = self.terms(k)
-        # shifted[i, p] is window[k - i, pad - p]: right row k-i shifted by p.
-        shifted = self._window[k::-1, self._pad :: -1]
-        block = shifted[rows, powers, : max(width, 2)]
-        block *= values[:, None]
-        acc = np.add.reduce(block, axis=0)
+        a, b = self.left, self.right
+        width = max(1, max(map(add, a.lengths[: k + 1], b.lengths[k::-1])) - 1)
+        m = self.split(k)
+        # At least two columns: numpy sums one column pairwise.
+        cols = max(width, 2)
+        acc = None
+        n = a.ends[m + 1]
+        if n:
+            acc = b.sums(k, a.rows[:n], a.powers[:n], a.values[:n], cols)
+        n = b.ends[k - m]
+        if n:
+            back = slice(n - 1, None, -1)
+            acc = a.sums(k, b.rows[back], b.powers[back], b.values[back], cols, acc)
+        if acc is None:
+            return np.zeros(width)
         acc += 0.0
         return acc[:width]
 
@@ -167,6 +238,5 @@ def series_product(a, b, order, start=0, nonzero=None):
     it a fresh state absorbs rows 0..order here.
     """
     state = ProductState() if nonzero is None else nonzero
-    for j in range(state.absorbed, order + 1):
-        state.absorb(a[j], b[j])
+    state.absorb(a, b, order)
     return [state.row(k) for k in range(start, order + 1)]

@@ -433,9 +433,12 @@ class RowEvaluator:
     nodes are keyed by their operation and the identity of their operand
     nodes, u^k is the product of u^(k-1) and u (so u^2 and u*u are one
     node) and u_xx is the x-derivative of u_x.  A product of two series
-    keeps a _backend.ProductState, the nonzero terms of its left factor
-    rows and a zero-padded copy of its right factor rows, so every factor
-    row is taken in once, not once per later order.
+    keeps a _backend.ProductState, the nonzero terms and a zero-padded
+    copy of the rows of each factor (of the one factor of a square such
+    as u^2), so every factor row is taken in once, not once per later
+    order.  Each product row takes its terms from one factor's early rows
+    and the other's, and skips a pair when the factor that supplies its
+    term holds an exact zero there; that is not always the left factor.
 
     Constants are folded.  A sum, difference or negation of constants is
     the constant that float arithmetic gives on their values, and on the

@@ -15,7 +15,8 @@ give -0.0 the text of 0.0, which equals it, and would never find nan, which
 equals nothing.  A column of exact ints is written with str once per value
 and one of exact strs as it is; any other mix (bool, numpy scalars,
 subclasses, Fraction) goes through format_cell, so booleans are refused.
-A string cell or column name that from_csv would misread is refused.
+A string cell, column name or metadata pair that from_csv would misread
+is refused.
 """
 
 from __future__ import annotations
@@ -114,14 +115,32 @@ def _column_texts(name: str, column, first: bool, alone: bool) -> list[str]:
     return list(column) if exact else [format_cell(cell) for cell in column]
 
 
+def _read_meta(line: str) -> tuple[str, str] | None:
+    """The (key, value) of a '# key: value' line, or None if it has no ': '."""
+    key, sep, value = line[1:].strip().partition(": ")
+    return (key, value) if sep else None
+
+
+def _meta_line(key: str, value: str) -> str:
+    """The '# key: value' line of a metadata pair; a pair that from_csv
+    would not read back as itself, or with whitespace at either end of
+    the key or the value, raises ConfigError."""
+    line = f"# {key}: {value}"
+    padded = any(isinstance(text, str) and text != text.strip() for text in (key, value))
+    if padded or line.splitlines() != [line] or _read_meta(line) != (key, value):
+        raise ConfigError(f"metadata pair {(key, value)!r} would not read back")
+    return line
+
+
 def to_csv(table: Table) -> str:
     """CSV text of `table`: '# key: value' metadata lines, the header, one
     line per row, each line ending in '\\n'.
 
     Every cell reads as format_cell writes it; booleans raise TypeError.
     A table without columns, with columns of unequal length, or with a
-    column name or string cell that from_csv would not read back as itself
-    raises ConfigError.  How columns are written is in the module docstring.
+    column name, string cell or metadata pair that from_csv would not read
+    back as itself raises ConfigError.  How columns are written is in the
+    module docstring.
     """
     names, width = table.columns, len(table.columns)
     if not width:
@@ -129,7 +148,7 @@ def to_csv(table: Table) -> str:
     lengths = [len(column) for column in table.cells]
     if len(lengths) != width or len(set(lengths)) > 1:
         raise ConfigError(f"a header of {width} names over columns of lengths {lengths}")
-    lines = [f"# {key}: {value}" for key, value in table.meta]
+    lines = [_meta_line(key, value) for key, value in table.meta]
     lines.append(",".join(names))
     texts = []
     for i, (name, column) in enumerate(zip(names, table.cells)):
@@ -149,11 +168,10 @@ def from_csv(text: str) -> Table:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            key, sep, value = body.partition(": ")
-            if not sep:
+            pair = _read_meta(line)
+            if pair is None:
                 raise ConfigError(f"malformed metadata line: {line!r}")
-            meta.append((key, value))
+            meta.append(pair)
         elif columns is None:
             columns = tuple(line.split(","))
             cells = [[] for _ in columns]

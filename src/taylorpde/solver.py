@@ -18,16 +18,19 @@ TanhPoly's normal form (series.trim): sums, differences, scales, the
 division by j+1 and the kernels take and return arrays.  The row
 functions in series are the only polynomial arithmetic; TanhPoly is
 storage and evaluation, built only for the series that solve() returns,
-and residual() compares the series it is given row by row as arrays.
+and residual() compares every order of a field at once, as one
+zero-padded array.
 The tests replay the same IEEE operations in the same order in plain
 Python lists and compare the bits.
 
 The product kernel (numpy, in _backend) adds the dense loops' terms in
 their order, keeps the bits with a final += 0.0 and gathers at least two
-columns, since numpy sums a single column pairwise.  It skips the zero
-coefficients of its left factor and adds signed zeros for those of its
-right factor, which gives the dense loops' bits only while every
-coefficient is finite (a skipped 0*inf would have been nan).
+columns, since numpy sums a single column pairwise.  Each row takes the
+terms of the left factor's early rows and of the right factor's early
+rows, split where the fewest terms are gathered.  It skips the zero
+coefficients of the factor that supplies the terms and adds signed zeros
+for those of the other, which gives the dense loops' bits only while
+every coefficient is finite (a skipped 0*inf would have been nan).
 
 A product with a constant factor c makes no kernel call: its row k is
 the other factor's row k scaled, v * c + 0.0 per coefficient.  These are
@@ -39,11 +42,13 @@ coefficient is finite.  A zero constant on the left keeps the kernel's
 skip: the product is the zero constant, whatever the other factor holds.
 
 RowEvaluator.advance() therefore checks every row it is given, solve()
-and residual() check the last row as well, and all raise on the first
-inf or nan instead of returning it as a number.  An overflow inside a
-right-hand side reaches the new row unless it is the right factor of a
-product whose left row is exactly zero, a zero constant included; there
-the skip gives the exact product, zero, where the dense loops gave nan.
+and residual() check the last row as well, and residual() checks every
+row it regenerates; all raise on the first inf or nan instead of
+returning it as a number.  An overflow inside a right-hand side reaches
+the new row unless a product skips it: a zero constant on the left
+always does, and the kernel does where the factor that supplies the
+terms, left or right, holds an exact zero; there the skip gives the
+exact product, zero, where the dense loops gave nan.
 A nonzero constant literal that no float holds (a 400-digit integer, or
 one over it, which would round to 0.0) raises a TaylorPdeError naming it
 before any row is made.  Sums, differences and negations of constants
@@ -54,13 +59,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import _backend
 from .dsl import PdeSystem, RowEvaluator, eval_rhs
 from .errors import ConfigError
-from .series import TanhPoly, TimeSeries, check_finite, sub_rows, trim
+from .series import TanhPoly, TimeSeries, check_finite, trim
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,15 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
     return SeriesSolution(system, tuple(series))
 
 
+def _padded(polys: Sequence[TanhPoly], width: int) -> np.ndarray:
+    """The coefficients of polys as the rows of one zero-padded array."""
+    lengths = np.array([len(p.coeffs) for p in polys])
+    flat = np.fromiter(chain.from_iterable(p.coeffs for p in polys), float, int(lengths.sum()))
+    grid = np.zeros((len(polys), width))
+    grid[np.arange(width) < lengths[:, None]] = flat  # row by row, in order
+    return grid
+
+
 @_backend.quiet
 def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     """Largest recurrence imbalance of a solution against a system.
@@ -148,17 +163,23 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     operations are replayed.  Passing a different system measures how far
     the series is from satisfying it, which is how the fixtures'
     exact-solution claims are verified.  A TaylorPdeError names the order
-    and field of the first inf or nan coefficient, as in solve().
+    and field of the first inf or nan coefficient, stored or regenerated,
+    as in solve().
     """
     n = solution.order
     rhs = eval_rhs(system, solution.series, n - 1)
     subjects = [f"field {f}" for f in system.fields]
     check_finite(subjects, n, [s.coeffs[n].coeffs for s in solution.series])
-    worst = 0.0
+    # Orders 1..n of each field, stored and regenerated, as two arrays of
+    # one width: the zero padding gives |x - 0| = |x|, as sub_rows' tail.
+    pairs = []
     for s, r in zip(solution.series, rhs):
-        for j in range(n):
-            regenerated = trim(r.coeffs[j].row() / (j + 1))
-            gap = max(np.abs(sub_rows(s.coeffs[j + 1].row(), regenerated)).tolist())
-            if gap > worst:
-                worst = gap
-    return worst
+        stored, made = s.coeffs[1:], r.coeffs
+        width = max(len(p.coeffs) for p in (*stored, *made))
+        regenerated = _padded(made, width) / np.arange(1.0, n + 1)[:, None]
+        pairs.append((_padded(stored, width), regenerated))
+    finite = [np.isfinite(made).all(axis=1) for _, made in pairs]
+    first = min((int(rows.argmin()) for rows in finite if not rows.all()), default=n)
+    if first < n:
+        check_finite(subjects, first + 1, [made[first] for _, made in pairs])
+    return max(float(np.abs(stored - made).max()) for stored, made in pairs)

@@ -139,9 +139,87 @@ def test_only_nonzero_pairs_are_multiplied():
     b = [[0.0, 5.0], [6.0, 0.0, -7.0], [-0.0, 8.0, 0.0]]
     assert list(_backend.conv(a[0], b[1])) == [6.0, 0.0, 5.0, 0.0, -14.0]
 
-    # The product kernel forms no pair with a zero left factor: its state
-    # holds exactly the nonzero terms of the left rows, as (i, p, a[i][p]).
+    # The product kernel forms no pair with a zero term: its state holds
+    # exactly the nonzero terms of the rows of each factor, as
+    # (i, p, a[i][p]), and a square keeps one factor.
     state = _backend.ProductState()
     _backend.series_product(a, b, 2, start=1, nonzero=state)
-    terms = list(zip(*(column.tolist() for column in state.terms(2))))
-    assert terms == [(0, 0, 1.0), (0, 2, 2.0), (1, 2, 3.0), (2, 0, 4.0)]
+    terms = [list(zip(*(c.tolist() for c in f.terms(2)))) for f in (state.left, state.right)]
+    assert terms[0] == [(0, 0, 1.0), (0, 2, 2.0), (1, 2, 3.0), (2, 0, 4.0)]
+    assert terms[1] == [(0, 1, 5.0), (1, 0, 6.0), (1, 2, -7.0), (2, 1, 8.0)]
+    state = _backend.ProductState()
+    _backend.series_product(a, a, 2, nonzero=state)
+    assert state.left is state.right
+
+
+@pytest.mark.parametrize("zero_on_the_left", [True, False], ids=["left", "right"])
+def test_zero_factor_skips_the_other_whichever_side(zero_on_the_left):
+    # Each product row splits where the fewest terms are gathered, and a
+    # factor of zero rows supplies none, so its pairs are all skipped:
+    # the dense loops give 0 * inf = nan, the kernel the exact 0.0.
+    inf = float("inf")
+    zeros, infs = [[0.0, -0.0]] * 3, [[inf, 1.0]] * 3
+    a, b = (zeros, infs) if zero_on_the_left else (infs, zeros)
+    state = _backend.ProductState()
+    rows = _backend.series_product(a, b, 2, nonzero=state)
+    assert _bits(rows) == _bits([[0.0] * 3] * 3)
+    assert state.split(2) == (2 if zero_on_the_left else -1)
+
+
+def test_split_lands_at_both_ends_and_between():
+    # Rows 0..3 of 1, 2, 3 and 4 terms: the split of row 3 that gathers
+    # fewest takes rows 0..1 of each factor (3 + 3 terms, not 10).  Its
+    # sums round, so they show the order in which the two blocks add.
+    growing = [[x] * (i + 1) for i, x in enumerate((7.0, 1.0, 3.0, 0.1))]
+    sparse = [[0.5, 0.0, 0.0]] + [[0.0, -0.0]] * 3
+    splits = {}
+    for name, a, b in [
+        ("right", growing, sparse),
+        ("left", sparse, growing),
+        ("between", growing, growing[:]),
+    ]:
+        state = _backend.ProductState()
+        rows = _backend.series_product(a, b, 3, nonzero=state)
+        assert _bits(rows) == _bits(_Dense.series_product(a, b, 3))
+        splits[name] = state.split(3)
+    # All terms from b's one nonzero row, all from a's, or half from each.
+    assert splits == {"right": -1, "left": 3, "between": 1}
+
+
+def _lopsided_rows(data, order, label):
+    """order+1 rows that are all dense, all sparse, or a mix: long rows
+    of any coefficients, short rows, and rows of signed zeros only."""
+    dense = st.lists(_coeffs, min_size=4, max_size=9)
+    short = st.lists(_quotients, min_size=1, max_size=2)
+    zero = st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=5)
+    kind = data.draw(st.sampled_from(["dense", "sparse", "mixed"]), label=f"{label} kind")
+    row = {"dense": dense, "sparse": st.one_of(short, zero), "mixed": st.one_of(dense, short, zero)}
+    return data.draw(st.lists(row[kind], min_size=order + 1, max_size=order + 1), label=label)
+
+
+@given(st.data())
+def test_series_product_split_matches_dense_loop_bitwise(data):
+    # Factors whose rows are much longer, shorter or sparser than the
+    # other's move the split of a row to either end or anywhere between.
+    order = data.draw(st.integers(0, 20), label="order")
+    a = _lopsided_rows(data, order, "a")
+    b = _lopsided_rows(data, order, "b")
+    dense = _bits(_Dense.series_product(a, b, order))
+    state = _backend.ProductState()
+    tail = [_backend.series_product(a, b, k, start=k, nonzero=state)[0] for k in range(order + 1)]
+    assert _bits(tail) == dense
+    assert _bits(_backend.series_product(a, b, order)) == dense
+    assert all(-1 <= state.split(k) <= k for k in range(order + 1))
+
+
+@given(st.data())
+def test_square_of_one_list_matches_dense_loop_bitwise(data):
+    # series_product(a, a, ...) keeps one copy of a for both factors.
+    order = data.draw(st.integers(0, 20), label="order")
+    a = _lopsided_rows(data, order, "a")
+    dense = _bits(_Dense.series_product(a, a, order))
+    state = _backend.ProductState()
+    tail = [_backend.series_product(a, a, k, start=k, nonzero=state)[0] for k in range(order + 1)]
+    assert state.left is state.right
+    assert _bits(tail) == dense
+    assert _bits(_backend.series_product(a, a, order)) == dense

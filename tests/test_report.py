@@ -420,6 +420,34 @@ class TestCsv:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             to_csv(table)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ("n", "a\nb"),
+            ("n\rm", "b"),
+            ("k", "x\u2028y"),
+            ("k: x", "v"),
+            ("k", "v "),
+            (" k", "v"),
+            ("k ", "v"),
+            ("k", "\tv"),
+            ("k", ""),
+            ("n", 5),
+        ],
+    )
+    def test_writer_refuses_metadata_it_cannot_read_back(self, pair):
+        # A line break would end the '# key: value' line early, from_csv
+        # splits at the first ': ' and strips the line, and an empty value
+        # leaves no ': ' after stripping.
+        message = f"metadata pair {pair!r} would not read back"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            to_csv(Table(("a",), ((1,),), (("ok", "1"), pair)))
+
+    @pytest.mark.parametrize("pair", [("k", "a: b"), ("k:", "v"), ("", "v"), ("k", "#v x")])
+    def test_metadata_that_reads_back_is_written(self, pair):
+        table = Table(("a",), ((1,),), (pair,))
+        assert from_csv(to_csv(table)) == table
+
     def test_each_distinct_string_is_checked_once(self, monkeypatch):
         parsed, parse = [], report._parse_cell
 

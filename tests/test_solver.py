@@ -212,6 +212,64 @@ def test_zero_left_factor_is_zero_past_an_overflow():
         solve(parse_system(f"u' = (u * {big} * {big}) * 0 + u"), [TanhPoly([0.5, 1])], 3)
 
 
+_HUGE = "1" + "0" * 200
+
+
+@pytest.mark.parametrize(
+    ("source", "value"),
+    [
+        # u * B * B overflows to inf, and inf - inf is nan: every gap is
+        # nan, which a running "gap > worst" maximum would drop as 0.0.
+        (f"u' = u * {_HUGE} * {_HUGE} - u * {_HUGE} * {_HUGE} + u", "nan"),
+        (f"u' = u * {_HUGE} * {_HUGE}", "inf"),
+    ],
+    ids=["nan", "inf"],
+)
+def test_residual_raises_on_non_finite_regenerated_row(source, value):
+    sol = solve(parse_system("u' = u"), [TanhPoly([1.0, 0.5])], 4)
+    message = f"^order 1 of field u is not finite: coefficient of w\\^0 is {value}$"
+    with pytest.raises(TaylorPdeError, match=message) as err:
+        residual(parse_system(source), sol)
+    assert type(err.value) is TaylorPdeError
+
+
+@pytest.mark.parametrize(
+    ("u0", "message"),
+    [
+        # u's rows are 0, 1, 0, ...: its product overflows from row 1, v's
+        # from row 0, so v's order 1 comes first although u is listed first.
+        (0.0, "^order 1 of field v is not finite: coefficient of w\\^0 is inf$"),
+        # Both overflow from row 0: the first field.
+        (1.0, "^order 1 of field u is not finite: coefficient of w\\^0 is inf$"),
+    ],
+    ids=["order", "field"],
+)
+def test_residual_names_the_first_order_then_field_that_is_not_finite(u0, message):
+    sol = solve(parse_system("u' = 1\nv' = v"), [TanhPoly([u0]), TanhPoly([1.0])], 3)
+    wrong = parse_system(f"u' = u * {_HUGE} * {_HUGE}\nv' = v * {_HUGE} * {_HUGE}")
+    with pytest.raises(TaylorPdeError, match=message):
+        residual(wrong, sol)
+
+
+def test_residual_is_the_largest_gap_of_any_order_and_coefficient():
+    # Rows of unequal lengths, stored longer or regenerated longer: each
+    # gap is |stored - regenerated| where both have a coefficient and the
+    # longer row's coefficient where only it has one.
+    system = parse_system("u' = u_x\nv' = 2 * v")
+    sol = solve(parse_system("u' = u\nv' = v"), [TanhPoly([0, 1, 0, -3]), TanhPoly([0.5, -7])], 5)
+    rhs = eval_rhs(system, sol.series, 4)
+    expected = 0.0
+    for s, r in zip(sol.series, rhs):
+        for j in range(5):
+            stored = list(s.coeffs[j + 1].coeffs)
+            made = [c / (j + 1) for c in r.coeffs[j].coeffs]
+            n = max(len(stored), len(made))
+            stored += [0.0] * (n - len(stored))
+            made += [0.0] * (n - len(made))
+            expected = max([expected] + [abs(x - y) for x, y in zip(stored, made)])
+    assert residual(system, sol) == expected > 0
+
+
 def test_handmade_solution_residual_measures_imbalance():
     sys = parse_system("u' = u")
     good = solve(sys, [TanhPoly([1.0])], 3)
@@ -425,13 +483,21 @@ def test_each_order_computes_one_product_row(name, monkeypatch):
     assert calls == [1] * order * _PRODUCTS_PER_ORDER[name]
 
 
+# Products per order whose two factors are one node, u^2 or (u - 1)^2:
+# the kernel keeps one copy of its rows for both factors.
+_SQUARES_PER_ORDER = {"riccati": 1, "coupled": 3, "mixed": 2, "shared": 2, "square": 1, "cubic": 1}
+
+
 @pytest.mark.parametrize("name", list(_SYSTEMS))
 def test_each_factor_row_is_scanned_once(name, monkeypatch):
-    # Every product keeps the nonzero terms of its left factor rows and a
-    # copy of its right factor rows across orders, so a solve to order N
-    # scans one left row per product per order (riccati at N=20: 2
-    # products x 20 = 40), not rows 0..j at every order j.
+    # Every product keeps the nonzero terms and a copy of the rows of each
+    # distinct factor across orders, so a solve to order N scans each
+    # factor row once: N rows per square and 2N per product of two
+    # different series (kdv at N=15: u * u_x, 30), not rows 0..j at every
+    # order j.
     system, initial, order = _SYSTEMS[name]
+    squares = _SQUARES_PER_ORDER.get(name, 0)
+    scans = order * (squares + 2 * (_PRODUCTS_PER_ORDER[name] - squares))
     scan = _backend._nonzero
     calls = []
 
@@ -441,10 +507,10 @@ def test_each_factor_row_is_scanned_once(name, monkeypatch):
 
     monkeypatch.setattr(_backend, "_nonzero", recording)
     sol = solve(system, initial, order)
-    assert len(calls) == _PRODUCTS_PER_ORDER[name] * order
+    assert len(calls) == scans
     calls.clear()
     residual(system, sol)
-    assert len(calls) == _PRODUCTS_PER_ORDER[name] * order
+    assert len(calls) == scans
 
 
 # Derivative rows per order, each one _backend.conv call: one per distinct
