@@ -30,12 +30,12 @@ adding terms in increasing i, then p):
   row, and the first row of the second block first adds the first
   block's column sums (x + y == y + x in IEEE arithmetic), so every
   column is one sequential sum: the reference sum plus terms that are
-  signed zeros, the products with the other factor's zeros.  Those can
-  only make a sum that should be +0.0 come out as -0.0, if numpy starts
-  the sum at a -0.0 term instead of at +0.0; a final += 0.0 turns it
-  back and changes no other value.  A one-column block is summed
-  pairwise instead, in another order, so blocks are always gathered at
-  least two columns wide and the extra column is dropped.
+  signed zeros, the products with the other factor's zeros.  Those
+  leave every sum unchanged, since numpy's float add.reduce starts at
+  its identity +0.0, as the dense loops do: a column of -0.0 terms sums
+  to +0.0 (tests/test_kernels.py pins this).  A one-column block is
+  summed pairwise instead, in another order, so blocks are always
+  gathered at least two columns wide and the extra column is dropped.
 
 A zero times inf or nan is nan, so the inputs must be finite;
 solver.solve checks every row it produces.  Finite inputs can still
@@ -217,7 +217,6 @@ class ProductState:
             acc = a.sums(k, b.rows[back], b.powers[back], b.values[back], cols, acc)
         if acc is None:
             return np.zeros(width)
-        acc += 0.0
         return acc[:width]
 
 

@@ -17,20 +17,22 @@ Inside solve() and the evaluator every row is a 1-D float64 array in
 TanhPoly's normal form (series.trim): sums, differences, scales, the
 division by j+1 and the kernels take and return arrays.  The row
 functions in series are the only polynomial arithmetic; TanhPoly is
-storage and evaluation, built only for the series that solve() returns,
-and residual() compares every order of a field at once, as one
-zero-padded array.
+storage and evaluation, built only for the series that solve() returns.
+residual() feeds the stored rows, as arrays, to a RowEvaluator as
+solve() does, and compares every order of a field with the rows it
+regenerates at once, as one zero-padded array.
 The tests replay the same IEEE operations in the same order in plain
 Python lists and compare the bits.
 
 The product kernel (numpy, in _backend) adds the dense loops' terms in
-their order, keeps the bits with a final += 0.0 and gathers at least two
-columns, since numpy sums a single column pairwise.  Each row takes the
-terms of the left factor's early rows and of the right factor's early
-rows, split where the fewest terms are gathered.  It skips the zero
-coefficients of the factor that supplies the terms and adds signed zeros
-for those of the other, which gives the dense loops' bits only while
-every coefficient is finite (a skipped 0*inf would have been nan).
+their order, each column's sum starting at +0.0 as theirs do, and
+gathers at least two columns, since numpy sums a single column
+pairwise.  Each row takes the terms of the left factor's early rows and
+of the right factor's early rows, split where the fewest terms are
+gathered.  It skips the zero coefficients of the factor that supplies
+the terms and adds signed zeros for those of the other, which gives the
+dense loops' bits only while every coefficient is finite (a skipped
+0*inf would have been nan).
 
 A product with a constant factor c makes no kernel call: its row k is
 the other factor's row k scaled, v * c + 0.0 per coefficient.  These are
@@ -59,12 +61,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import _backend
-from .dsl import PdeSystem, RowEvaluator, eval_rhs
+from .dsl import PdeSystem, RowEvaluator
 from .errors import ConfigError
 from .series import TanhPoly, TimeSeries, check_finite, trim
 
@@ -142,12 +143,11 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
     return SeriesSolution(system, tuple(series))
 
 
-def _padded(polys: Sequence[TanhPoly], width: int) -> np.ndarray:
-    """The coefficients of polys as the rows of one zero-padded array."""
-    lengths = np.array([len(p.coeffs) for p in polys])
-    flat = np.fromiter(chain.from_iterable(p.coeffs for p in polys), float, int(lengths.sum()))
-    grid = np.zeros((len(polys), width))
-    grid[np.arange(width) < lengths[:, None]] = flat  # row by row, in order
+def _padded(rows: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """rows as the rows of one zero-padded array."""
+    lengths = np.array([len(r) for r in rows])
+    grid = np.zeros((len(rows), width))
+    grid[np.arange(width) < lengths[:, None]] = np.concatenate(rows)  # row by row, in order
     return grid
 
 
@@ -164,18 +164,28 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     the series is from satisfying it, which is how the fixtures'
     exact-solution claims are verified.  A TaylorPdeError names the order
     and field of the first inf or nan coefficient, stored or regenerated,
-    as in solve().
+    as in solve().  A ConfigError refuses a system whose field count is
+    not the solution's, and a ValueError a solution of order 0.
     """
     n = solution.order
-    rhs = eval_rhs(system, solution.series, n - 1)
+    series = solution.series
+    if len(series) != len(system.fields):
+        raise ConfigError(
+            f"system has {len(system.fields)} fields but state has {len(series)} entries"
+        )
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    columns = [[p.row() for p in s.coeffs] for s in series]
+    rhs = RowEvaluator(system)
+    made_rows = [rhs.advance([col[j] for col in columns]) for j in range(n)]
     subjects = [f"field {f}" for f in system.fields]
-    check_finite(subjects, n, [s.coeffs[n].coeffs for s in solution.series])
+    check_finite(subjects, n, [col[n] for col in columns])
     # Orders 1..n of each field, stored and regenerated, as two arrays of
     # one width: the zero padding gives |x - 0| = |x|, as sub_rows' tail.
     pairs = []
-    for s, r in zip(solution.series, rhs):
-        stored, made = s.coeffs[1:], r.coeffs
-        width = max(len(p.coeffs) for p in (*stored, *made))
+    for col, made in zip(columns, zip(*made_rows)):
+        stored = col[1:]
+        width = max(map(len, (*stored, *made)))
         regenerated = _padded(made, width) / np.arange(1.0, n + 1)[:, None]
         pairs.append((_padded(stored, width), regenerated))
     finite = [np.isfinite(made).all(axis=1) for _, made in pairs]

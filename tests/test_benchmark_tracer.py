@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import taylorpde
-from taylorpde import FIXTURES, _backend, series, solver
+from taylorpde import FIXTURES, _backend, dsl, series, solver
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,7 +30,11 @@ def test_tracer_installs_on_a_solve_and_comes_off():
     tracer = spans.install(spans.Tracer())
     try:
         assert solver.solve is not originals["solve"]
-        solver.residual(fx.system, solver.solve(fx.system, fx.initial, 8))
+        sol = solver.solve(fx.system, fx.initial, 8)
+        solver.residual(fx.system, sol)
+        # residual replays rows through the evaluator, not eval_rhs; call
+        # it directly so that its wrapper runs too.
+        dsl.eval_rhs(fx.system, sol.series, 7)
     finally:
         tracer.uninstall()
     assert solver.solve is originals["solve"] and taylorpde.solve is originals["solve"]
@@ -40,8 +44,9 @@ def test_tracer_installs_on_a_solve_and_comes_off():
     assert {"solver.solve", "solver.residual", "dsl.eval_rhs", "kernels.series_product"} <= names
     # The per-layer counters see the kernel: one series_product span per
     # product of two series per order (coupled has 3, one (f - c)^2 per
-    # field; its products with a constant are row scales; the solve and
-    # the residual each make 8 rows), and its multiply-adds are counted.
+    # field; its products with a constant are row scales; the solve, the
+    # residual and eval_rhs each make 8 rows), and its multiply-adds are
+    # counted.
     products = [span for span in tracer.spans if span[0] == "kernels.series_product"]
-    assert len(products) == 3 * 8 * 2
+    assert len(products) == 3 * 8 * 3
     assert tracer.counts["kernels.madds"] > 0

@@ -186,6 +186,25 @@ def test_split_lands_at_both_ends_and_between():
     assert splits == {"right": -1, "left": 3, "between": 1}
 
 
+def test_a_column_of_negative_zero_terms_sums_to_positive_zero():
+    # The dense loops start every sum at +0.0, and +0.0 + -0.0 is +0.0;
+    # numpy's add.reduce must start at that identity too, not at the
+    # first term, for the kernel to keep their bits.  Row 0 here takes
+    # one block, and column 0 its one term -1.0 * 0.0.
+    row = _backend.series_product([[-1.0]], [[0.0, 2.0, 3.0]], 0)[0]
+    assert _bits([row[:1]]) == _bits([[0.0]])
+    # Row 1 splits between the blocks: a[0] * b[1] from a's term, then
+    # a[1] * b[0] from b's.  Column 0 gets -1.0 * 0.0 from the first and
+    # 0.0 * -1.0 from the second, both -0.0.
+    a = [[-1.0], [0.0, 5.0]]
+    b = [[-1.0], [0.0, 2.0, 3.0]]
+    state = _backend.ProductState()
+    row = _backend.series_product(a, b, 1, start=1, nonzero=state)[0]
+    assert state.split(1) == 0
+    assert _bits([row[:1]]) == _bits([[0.0]])
+    assert _bits([row]) == _bits(_Dense.series_product(a, b, 1, start=1))
+
+
 def _lopsided_rows(data, order, label):
     """order+1 rows that are all dense, all sparse, or a mix: long rows
     of any coefficients, short rows, and rows of signed zeros only."""

@@ -279,6 +279,44 @@ def test_handmade_solution_residual_measures_imbalance():
     assert residual(wrong_sys, tampered) > 0.4
 
 
+@pytest.mark.parametrize(
+    ("solved", "checked", "message"),
+    [
+        ("u' = u", "u' = v\nv' = u\n", "^system has 2 fields but state has 1 entries$"),
+        ("u' = v\nv' = u\n", "u' = u", "^system has 1 fields but state has 2 entries$"),
+    ],
+    ids=["fewer-series", "more-series"],
+)
+def test_residual_refuses_a_system_with_another_field_count(solved, checked, message):
+    system = parse_system(solved)
+    sol = solve(system, [TanhPoly([1.0, 0.5])] * len(system.fields), 3)
+    with pytest.raises(ConfigError, match=message):
+        residual(parse_system(checked), sol)
+
+
+def test_residual_refuses_a_solution_of_order_0():
+    system = parse_system("u' = u")
+    sol = SeriesSolution(system, (TimeSeries([TanhPoly([1.0, 0.5])]),))
+    with pytest.raises(ValueError, match="^order must be at least 1$"):
+        residual(system, sol)
+
+
+def test_residual_builds_no_tanhpoly(coupled, monkeypatch):
+    # The stored rows go to the evaluator, and the rows it regenerates to
+    # the compare, as arrays.
+    sol = solve(coupled.system, coupled.initial, 6)
+    built = []
+    init = TanhPoly.__init__
+
+    def counting_init(self, coeffs):
+        built.append(coeffs)
+        init(self, coeffs)
+
+    monkeypatch.setattr(TanhPoly, "__init__", counting_init)
+    assert residual(coupled.system, sol) == 0.0
+    assert built == []
+
+
 # The bitwise reference: the whole-series evaluation that solve() ran
 # before it advanced one row per order, on plain lists of Python floats.
 # At every order j each node recomputes its rows 0..j, with products
