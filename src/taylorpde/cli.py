@@ -29,7 +29,7 @@ from .errors import ConfigError, ParseError, TaylorPdeError
 from .fixtures import FIXTURES
 from .fixtures import get as get_fixture
 from .report import Table, divergence_figure, error_table, format_cell, render_figure_svg, to_csv
-from .series import TanhPoly
+from .series import TanhPoly, grid
 from .solver import residual, solve
 from .waves import builtin_waves
 
@@ -116,11 +116,10 @@ def _cmd_solve(args) -> int:
     if args.print_coeffs:
         # One line per (order, field), each row padded with 0.0 to the widest.
         orders = range(args.order + 1)
-        polys = [series.coeffs[j].coeffs for j in orders for series in solution.series]
-        width = max(map(len, polys))
-        columns = ("order", "field") + tuple(f"c{d}" for d in range(width))
+        coeffs = grid([series.coeffs[j].coeffs for j in orders for series in solution.series])
+        columns = ("order", "field") + tuple(f"c{d}" for d in range(coeffs.shape[1]))
         cells = [tuple(j for j in orders for _ in system.fields), system.fields * len(orders)]
-        cells.extend(tuple(c[d] if d < len(c) else 0.0 for c in polys) for d in range(width))
+        cells.extend(coeffs.T)
         print(to_csv(Table(columns, tuple(cells))), end="")
     else:
         print(f"fields: {', '.join(system.fields)}")

@@ -26,7 +26,6 @@ are ordered by the appearance of their defining equations.
 
 from __future__ import annotations
 
-import operator
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -440,15 +439,19 @@ class RowEvaluator:
     and the other's, and skips a pair when the factor that supplies its
     term holds an exact zero there; that is not always the left factor.
 
-    Constants are folded.  A sum, difference or negation of constants is
-    the constant that float arithmetic gives on their values, and on the
-    signed zeros of their later rows, so its rows are the floats the node
-    would compute.  A product with a constant factor c is no kernel call:
-    its row j is the other factor's row j scaled, v * c + 0.0 per
-    coefficient, a product of two constants is the constant c_a * c_b +
-    0.0, and a zero constant on the left gives the zero constant (see the
-    solver module docstring).  A row is the same float sequence that the
-    full truncated Cauchy product gives, whatever order is reached.
+    Constants are folded through the same row functions.  A constant is
+    two rows, row 0 and the row of every later order.  A sum, difference
+    or negation of constants is the constant that add_rows, sub_rows or
+    np.negative gives on their two rows.  A product with a constant
+    factor c is no kernel call: its row j is the other factor's row j
+    scaled, trim(row * c + 0.0), a constant other factor's two rows too,
+    and a zero constant on the left gives the zero constant, as the
+    kernel skips it.  These are the dense loops' bits while every
+    coefficient is finite: past row 0 a constant's rows are zero, so each
+    column of row j sums the one term v * c and signed zeros from +0.0,
+    which is v * c except that a -0.0 product sums to +0.0, as the + 0.0
+    gives.  A row is the same float sequence that the full truncated
+    Cauchy product gives, whatever order is reached.
 
     The kernels match the dense loops only on finite rows, so advance()
     raises a TaylorPdeError naming the order and field of the first inf
@@ -457,6 +460,7 @@ class RowEvaluator:
     the evaluator is built.
     """
 
+    @_backend.quiet  # a constant folds to inf or nan silently, as a float does
     def __init__(self, system: PdeSystem):
         self._subjects = tuple(f"field {f}" for f in system.fields)
         self._state: list[list[np.ndarray]] = [[] for _ in system.fields]
@@ -465,9 +469,9 @@ class RowEvaluator:
         # live as long as the evaluator, so an id is never reused.  Not
         # keyed by the tree nodes: hashing one recurses through its subtree.
         self._nodes: dict[tuple, list[np.ndarray]] = {}
-        # Every constant node's (row-0 value, value of its later rows),
-        # keyed by the id of its rows; the later rows are a signed zero.
-        self._constants: dict[int, tuple[float, float]] = {}
+        # Every constant node's (row 0, row of every later order), keyed
+        # by the id of its rows.
+        self._constants: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._roots = tuple(_fold(eq, self._compile) for eq in system.equations)
         self._order = 0
 
@@ -495,7 +499,7 @@ class RowEvaluator:
             # Too large a value overflows; too small a one rounds to 0.0.
             if value is None or (value == 0.0 and node.value != 0):
                 raise TaylorPdeError(f"constant {node.value} is outside the float range")
-            return self._constant(("c", node.value), value)
+            return self._constant(("c", node.value), np.array([value]), np.zeros(1))
         if isinstance(node, Deriv):
             # A chain of keyed nodes, u_x then u_xx and so on; a loop, not
             # recursion on order k-1, so the stack depth does not bound k.
@@ -504,13 +508,13 @@ class RowEvaluator:
                 rows = self._node(("dx", id(rows)), lambda j, a=rows: dx_row(a[j]))
             return rows
         if isinstance(node, Add):
-            return self._pointwise("+", operator.add, add_rows, operands)
+            return self._pointwise("+", add_rows, operands)
         if isinstance(node, Sub):
-            return self._pointwise("-", operator.sub, sub_rows, operands)
+            return self._pointwise("-", sub_rows, operands)
         if isinstance(node, Mul):
             return self._product(*operands)
         if isinstance(node, Neg):
-            return self._pointwise("neg", operator.neg, np.negative, operands)
+            return self._pointwise("neg", np.negative, operands)
         if isinstance(node, Pow):
             # The same chain of keyed products: u^2 is the node of u*u.
             base = rows = operands[0]
@@ -528,40 +532,36 @@ class RowEvaluator:
             self._steps.append(lambda j: rows.append(row(j)))
         return rows
 
-    def _constant(self, key: tuple, value: float, zero: float = 0.0) -> list[np.ndarray]:
-        """The rows of constant node `key`: value, then the signed zero."""
-        head = np.array([value])
-        tail = np.array([zero])
+    def _constant(self, key: tuple, head: np.ndarray, tail: np.ndarray) -> list[np.ndarray]:
+        """The rows of constant node `key`: head, then tail at every later order."""
         rows = self._node(key, lambda j: head if j == 0 else tail)
-        self._constants[id(rows)] = (value, zero)
+        self._constants[id(rows)] = (head, tail)
         return rows
 
     def _pointwise(
-        self,
-        tag: str,
-        op: Callable[..., float],
-        row_op: Callable[..., np.ndarray],
-        operands: list[list[np.ndarray]],
+        self, tag: str, row_op: Callable[..., np.ndarray], operands: list[list[np.ndarray]]
     ) -> list[np.ndarray]:
         """The node whose row j is row_op of its operands' rows j; of
-        constants, the constant that op gives on their values and zeros."""
+        constants, the constant whose two rows row_op gives on theirs."""
         key = (tag, *map(id, operands))
         constants = [self._constants.get(id(rows)) for rows in operands]
         if None not in constants:
-            return self._constant(key, *(op(*sides) for sides in zip(*constants)))
+            return self._constant(key, *(row_op(*rows) for rows in zip(*constants)))
         return self._node(key, lambda j: row_op(*[rows[j] for rows in operands]))
 
     def _product(self, a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
         key = ("*", id(a), id(b))
         ca = self._constants.get(id(a))
         cb = self._constants.get(id(b))
-        if ca is not None and ca[0] == 0.0:
+        if ca is not None and ca[0][0] == 0.0:
             # The kernel skips a zero left factor whatever b holds.
-            return self._constant(key, 0.0)
-        if ca is not None and cb is not None:
-            return self._constant(key, ca[0] * cb[0] + 0.0)
+            return self._constant(key, np.zeros(1), np.zeros(1))
         if ca is not None or cb is not None:
-            x, c = (b, ca[0]) if ca is not None else (a, cb[0])
+            # A Python float: scaling by one is faster than by a numpy scalar.
+            x, c = (b, ca[0].item()) if ca is not None else (a, cb[0].item())
+            cx = self._constants.get(id(x))
+            if cx is not None:
+                return self._constant(key, *(trim(row * c + 0.0) for row in cx))
             return self._node(key, lambda j: trim(x[j] * c + 0.0))
         state = _backend.ProductState()
         return self._node(
@@ -574,7 +574,9 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
 
     Each result is truncated at exactly `order` and reads state
     coefficients 0..order only, one row per order through a RowEvaluator,
-    so every state series must carry at least order+1 of them.
+    so every state series must carry at least order+1 of them.  A
+    TaylorPdeError names the order and field of the first inf or nan
+    coefficient, of the state or of a right-hand side.
     """
     if len(state) != len(system.fields):
         raise ConfigError(
@@ -589,5 +591,9 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
                 f"needs {order + 1} coefficients"
             )
     evaluator = RowEvaluator(system)
-    rows = [evaluator.advance([s.coeffs[j].row() for s in state]) for j in range(order + 1)]
+    subjects = [f"the right-hand side of field {f}" for f in system.fields]
+    rows = []
+    for j in range(order + 1):
+        rows.append(evaluator.advance([s.coeffs[j].row() for s in state]))
+        check_finite(subjects, j, rows[j])
     return tuple(TimeSeries(map(TanhPoly, col)) for col in zip(*rows))

@@ -31,6 +31,7 @@ from . import fixtures
 from ._backend import quiet
 from .errors import ConfigError
 from .pade import pade_fit
+from .series import grid
 from .solver import solve
 
 _FLOAT_FMT = ".17g"
@@ -224,10 +225,7 @@ def _coefficients(series, xs) -> np.ndarray:
     """The (x, power) matrix of `series` at `xs`: one Horner pass in
     w = tanh(x) over coefficients padded with top zeros, which keep it at
     +0.0 until each one's own top, so the bits are TanhPoly.__call__'s."""
-    polys = [p.coeffs for p in series.coeffs]
-    padded = np.zeros((len(polys), max(map(len, polys))))
-    for j, coeffs in enumerate(polys):
-        padded[j, : len(coeffs)] = coeffs
+    padded = grid([p.coeffs for p in series.coeffs])
     return _horner(padded, np.array([math.tanh(x) for x in xs])).T
 
 

@@ -13,8 +13,9 @@ a 1-D float64 array in TanhPoly's normal form (trim).  add_rows,
 sub_rows and dx_row here, numpy's negation, scaling and division, and
 the product kernels in _backend are the package's only polynomial
 arithmetic; TimeSeries.mul and dx go through them too.  check_finite is
-the one test for inf and nan coefficients.  The tests replay these
-operations on plain Python lists and compare the bits.
+the one test for inf and nan coefficients, and grid the one zero-padding
+of rows into a 2-D array.  The tests replay these operations on plain
+Python lists and compare the bits.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ def dx_row(row: np.ndarray) -> np.ndarray:
         return np.zeros(1)
     dp = np.arange(1.0, len(row)) * row[1:]
     return trim(_backend.conv(dp, _CHAIN))
+
+
+def grid(rows: Sequence) -> np.ndarray:
+    """rows (arrays or coefficient tuples) as the rows of one float64
+    array, each padded with +0.0 to the longest."""
+    lengths = np.array([len(r) for r in rows])
+    out = np.zeros((len(rows), lengths.max()))
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)  # row by row
+    return out
 
 
 def check_finite(subjects: Iterable[str], j: int, rows: Sequence) -> None:

@@ -20,7 +20,7 @@ functions in series are the only polynomial arithmetic; TanhPoly is
 storage and evaluation, built only for the series that solve() returns.
 residual() feeds the stored rows, as arrays, to a RowEvaluator as
 solve() does, and compares every order of a field with the rows it
-regenerates at once, as one zero-padded array.
+regenerates at once, in one zero-padded series.grid.
 The tests replay the same IEEE operations in the same order in plain
 Python lists and compare the bits.
 
@@ -34,18 +34,13 @@ the terms and adds signed zeros for those of the other, which gives the
 dense loops' bits only while every coefficient is finite (a skipped
 0*inf would have been nan).
 
-A product with a constant factor c makes no kernel call: its row k is
-the other factor's row k scaled, v * c + 0.0 per coefficient.  These are
-the dense loops' bits too.  Past row 0 the constant's rows are zero, so
-each column of row k is a sum from +0.0 of the one term v * c and
-signed zeros; that sum is v * c, except that a -0.0 product sums to
-+0.0, which is what the + 0.0 gives.  This also holds only while every
-coefficient is finite.  A zero constant on the left keeps the kernel's
-skip: the product is the zero constant, whatever the other factor holds.
+Constants are folded, and a product with a constant factor is a row
+scale, not a kernel call, with the dense loops' bits while every
+coefficient is finite: see the RowEvaluator docstring.
 
 RowEvaluator.advance() therefore checks every row it is given, solve()
-and residual() check the last row as well, and residual() checks every
-row it regenerates; all raise on the first inf or nan instead of
+and residual() check the last row as well, and residual() and
+eval_rhs() check every row they make; all raise on the first inf or nan instead of
 returning it as a number.  An overflow inside a right-hand side reaches
 the new row unless a product skips it: a zero constant on the left
 always does, and the kernel does where the factor that supplies the
@@ -53,8 +48,7 @@ terms, left or right, holds an exact zero; there the skip gives the
 exact product, zero, where the dense loops gave nan.
 A nonzero constant literal that no float holds (a 400-digit integer, or
 one over it, which would round to 0.0) raises a TaylorPdeError naming it
-before any row is made.  Sums, differences and negations of constants
-are constants too, so a product with (1/2 + 1/3) is a scale as well.
+before any row is made.
 """
 
 from __future__ import annotations
@@ -67,7 +61,7 @@ import numpy as np
 from . import _backend
 from .dsl import PdeSystem, RowEvaluator
 from .errors import ConfigError
-from .series import TanhPoly, TimeSeries, check_finite, trim
+from .series import TanhPoly, TimeSeries, check_finite, grid, trim
 
 
 @dataclass(frozen=True)
@@ -143,14 +137,6 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
     return SeriesSolution(system, tuple(series))
 
 
-def _padded(rows: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """rows as the rows of one zero-padded array."""
-    lengths = np.array([len(r) for r in rows])
-    grid = np.zeros((len(rows), width))
-    grid[np.arange(width) < lengths[:, None]] = np.concatenate(rows)  # row by row, in order
-    return grid
-
-
 @_backend.quiet
 def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     """Largest recurrence imbalance of a solution against a system.
@@ -180,14 +166,12 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     made_rows = [rhs.advance([col[j] for col in columns]) for j in range(n)]
     subjects = [f"field {f}" for f in system.fields]
     check_finite(subjects, n, [col[n] for col in columns])
-    # Orders 1..n of each field, stored and regenerated, as two arrays of
-    # one width: the zero padding gives |x - 0| = |x|, as sub_rows' tail.
+    # Orders 1..n of each field, stored and regenerated, as two halves of
+    # one grid: the zero padding gives |x - 0| = |x|, as sub_rows' tail.
     pairs = []
     for col, made in zip(columns, zip(*made_rows)):
-        stored = col[1:]
-        width = max(map(len, (*stored, *made)))
-        regenerated = _padded(made, width) / np.arange(1.0, n + 1)[:, None]
-        pairs.append((_padded(stored, width), regenerated))
+        rows = grid([*col[1:], *made])
+        pairs.append((rows[:n], rows[n:] / np.arange(1.0, n + 1)[:, None]))
     finite = [np.isfinite(made).all(axis=1) for _, made in pairs]
     first = min((int(rows.argmin()) for rows in finite if not rows.all()), default=n)
     if first < n:

@@ -6,6 +6,7 @@ from taylorpde import (
     ConfigError,
     ParseError,
     TanhPoly,
+    TaylorPdeError,
     TimeSeries,
     eval_rhs,
     parse_system,
@@ -210,3 +211,21 @@ class TestEvalRhs:
         (da,) = eval_rhs(sys, [full], 1)
         (db,) = eval_rhs(sys, [TimeSeries(full.coeffs[:2])], 1)
         assert da == db
+
+    @pytest.mark.parametrize(
+        ("u", "field"),
+        [
+            # u's right-hand side overflows from order 1, v's from order 0.
+            ([0.0, 1e200], "v"),
+            # Both overflow from order 0: the first field.
+            ([1e200, 1e200], "u"),
+        ],
+        ids=["order", "field"],
+    )
+    def test_names_the_first_order_then_field_that_is_not_finite(self, u, field):
+        sys = parse_system("u' = u*u\nv' = v*v")
+        state = [TimeSeries([[c] for c in u]), TimeSeries([[1e200], [1e200]])]
+        message = f"^order 0 of the right-hand side of field {field} is not finite: "
+        with pytest.raises(TaylorPdeError, match=message + "coefficient of w\\^0 is inf$") as err:
+            eval_rhs(sys, state, 1)
+        assert type(err.value) is TaylorPdeError

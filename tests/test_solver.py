@@ -151,7 +151,7 @@ def test_third_order_derivative_system_runs():
 @pytest.mark.parametrize(
     ("row", "bad", "message"),
     [
-        # Row 2 reaches the zero-skipping kernels through eval_rhs.
+        # Row 2 reaches the zero-skipping kernels through the RowEvaluator.
         (2, [0.0, math.inf], "^order 2 of field v is not finite: coefficient of w\\^1 is inf$"),
         # Row 3, the last, is only compared; a nan there can vanish in max().
         (3, [math.nan, 1.0], "^order 3 of field v is not finite: coefficient of w\\^0 is nan$"),
@@ -455,6 +455,14 @@ _SYSTEMS["constant-sums"] = (
     [TanhPoly([0, 1, 0, -0.25]), TanhPoly([0, 1, 0, -0.25])],
     15,
 )
+# A constant times a constant that folds to -0.0: 3 * -0.0 is -0.0, and
+# the scale's + 0.0 makes it the +0.0 of the dense loops' sum, which
+# added to -v keeps none of its -0.0 coefficients.
+_SYSTEMS["constant-product"] = (
+    parse_system("v' = -v + 3 * -(1 - 1)"),
+    [TanhPoly([0, 1, 0, -0.25])],
+    15,
+)
 # Rows whose top coefficient becomes zero: 5e-324 / 2 underflows in the
 # division of row 2 of u, 5e-324 * 1e-300 in a scale, and u + -u and
 # u - u cancel.  Each such row must lose its trailing zero, as a TanhPoly
@@ -483,6 +491,7 @@ _PRODUCTS_PER_ORDER = {
     "cubic": 2,
     "constants": 1,
     "constant-sums": 0,
+    "constant-product": 0,
     "trailing-zeros": 0,
 }
 
