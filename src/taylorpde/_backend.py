@@ -99,7 +99,6 @@ class _Factor:
     def __init__(self):
         self.lengths: list[int] = []
         self.longest = 1
-        self.size = 0  # terms taken
         self.rows = np.empty(0, dtype=np.intp)
         self.powers = np.empty(0, dtype=np.intp)
         self.values = np.empty(0)
@@ -120,8 +119,8 @@ class _Factor:
         j = len(self.lengths)
         self.lengths.append(len(row))
         powers, values = _nonzero(row)
-        n = self.size
-        m = self.size = n + len(powers)
+        n = self.ends[j]
+        m = n + len(powers)
         if m > len(self.values):
             self.rows, self.powers, self.values = (
                 np.concatenate((buf[:n], np.empty(max(m, 2 * n), buf.dtype)))

@@ -453,11 +453,12 @@ class RowEvaluator:
     gives.  A row is the same float sequence that the full truncated
     Cauchy product gives, whatever order is reached.
 
-    The kernels match the dense loops only on finite rows, so advance()
-    raises a TaylorPdeError naming the order and field of the first inf
-    or nan coefficient it is given.  A nonzero constant that no float
-    holds, too large or too small, raises a TaylorPdeError naming it when
-    the evaluator is built.
+    advance() raises a ConfigError when it is given a row count other
+    than the field count.  The kernels match the dense loops only on
+    finite rows, so it raises a TaylorPdeError naming the order and field
+    of the first inf or nan coefficient it is given.  A nonzero constant
+    that no float holds, too large or too small, raises a TaylorPdeError
+    naming it when the evaluator is built.
     """
 
     @_backend.quiet  # a constant folds to inf or nan silently, as a float does
@@ -478,6 +479,10 @@ class RowEvaluator:
     @_backend.quiet
     def advance(self, row: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         j = self._order
+        if len(row) != len(self._state):
+            raise ConfigError(
+                f"system has {len(self._state)} fields but state has {len(row)} entries"
+            )
         check_finite(self._subjects, j, row)
         for rows, p in zip(self._state, row):
             rows.append(p)
@@ -555,7 +560,7 @@ class RowEvaluator:
         cb = self._constants.get(id(b))
         if ca is not None and ca[0][0] == 0.0:
             # The kernel skips a zero left factor whatever b holds.
-            return self._constant(key, np.zeros(1), np.zeros(1))
+            return self._compile(Const(Fraction(0)), [])
         if ca is not None or cb is not None:
             # A Python float: scaling by one is faster than by a numpy scalar.
             x, c = (b, ca[0].item()) if ca is not None else (a, cb[0].item())
@@ -576,12 +581,9 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
     coefficients 0..order only, one row per order through a RowEvaluator,
     so every state series must carry at least order+1 of them.  A
     TaylorPdeError names the order and field of the first inf or nan
-    coefficient, of the state or of a right-hand side.
+    coefficient, of the state or of a right-hand side, and the evaluator
+    refuses a state whose length is not the field count.
     """
-    if len(state) != len(system.fields):
-        raise ConfigError(
-            f"system has {len(system.fields)} fields but state has {len(state)} entries"
-        )
     if order < 0:
         raise ValueError("order must be nonnegative")
     for field, s in zip(system.fields, state):

@@ -35,8 +35,10 @@ class Fixture:
     waves: tuple[TravelingWave, ...]
 
 
-def _fixture(name, summary, source, initial, waves) -> Fixture:
-    return Fixture(name, summary, source, parse_system(source), tuple(initial), tuple(waves))
+def _fixture(name, summary, source, waves) -> Fixture:
+    # Each profile is its wave at t = 0; every builtin wave has wavenumber 1.
+    initial = tuple(TanhPoly([w.offset, w.amplitude]) for w in waves)
+    return Fixture(name, summary, source, parse_system(source), initial, tuple(waves))
 
 
 _KINK = TravelingWave(offset=0.0, amplitude=1.0, wavenumber=1.0, rate=5.5)
@@ -45,7 +47,6 @@ RICCATI = _fixture(
     "riccati",
     "scalar Riccati equation solved exactly by tanh(x - 11t/2)",
     "u' = -11/2 * (1 - u^2)\n",
-    (TanhPoly([0.0, 1.0]),),
     (_KINK,),
 )
 
@@ -57,7 +58,6 @@ COUPLED = _fixture(
         "v' = 11/8 * (1 - 16 * (v - 1)^2)\n"
         "z' = 11/2 * (1 - (z - 2)^2)\n"
     ),
-    (TanhPoly([1.0, 0.5]), TanhPoly([1.0, -0.25]), TanhPoly([2.0, -1.0])),
     builtin_waves(),
 )
 
@@ -69,7 +69,6 @@ TRANSPORT = _fixture(
         "v' = -11/2 * v_x\n"
         "z' = -11/2 * z_x\n"
     ),
-    (TanhPoly([1.0, 0.5]), TanhPoly([1.0, -0.25]), TanhPoly([2.0, -1.0])),
     builtin_waves(),
 )
 

@@ -63,8 +63,6 @@ def sub_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def dx_row(row: np.ndarray) -> np.ndarray:
     """Derivative in x of a row: (1 - w**2) * dp/dw."""
-    if len(row) == 1:
-        return np.zeros(1)
     dp = np.arange(1.0, len(row)) * row[1:]
     return trim(_backend.conv(dp, _CHAIN))
 
@@ -183,7 +181,8 @@ class TimeSeries:
         coefficients: those products would be silently wrong.  The kernel
         matches the dense product only on finite rows, so a TaylorPdeError
         names the first inf or nan coefficient in rows 0..order of either
-        factor, order by order.
+        factor, order by order, and then of the product, which can
+        overflow.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -199,6 +198,8 @@ class TimeSeries:
         for j in range(order + 1):
             check_finite(("the left factor", "the right factor"), j, (rows_a[j], rows_b[j]))
         rows = _backend.series_product(rows_a, rows_b, order)
+        for j, row in enumerate(rows):
+            check_finite(("the product",), j, (row,))
         return TimeSeries([TanhPoly(row) for row in rows])
 
     @_backend.quiet
@@ -206,12 +207,16 @@ class TimeSeries:
         """The k-th derivative in x, row by row through dx_row.
 
         Kept for the benchmark's series.dx span, which wraps it by name.
+        A TaylorPdeError names the first inf or nan coefficient of the
+        derivative, which can overflow, order by order.
         """
         if k < 1:
             raise ValueError("derivative order must be at least 1")
         rows = [p.row() for p in self._coeffs]
         for _ in range(k):
             rows = [dx_row(r) for r in rows]
+        for j, row in enumerate(rows):
+            check_finite(("the derivative",), j, (row,))
         return TimeSeries(map(TanhPoly, rows))
 
     def eval(self, x: float, t: float) -> float:

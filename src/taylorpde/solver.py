@@ -13,42 +13,25 @@ multiplies O(N^2) pairs of rows, not O(N^3)).  Earlier coefficients
 never change: extending a solve to a higher order reproduces the
 lower-order coefficients bitwise.
 
-Inside solve() and the evaluator every row is a 1-D float64 array in
-TanhPoly's normal form (series.trim): sums, differences, scales, the
-division by j+1 and the kernels take and return arrays.  The row
-functions in series are the only polynomial arithmetic; TanhPoly is
-storage and evaluation, built only for the series that solve() returns.
-residual() feeds the stored rows, as arrays, to a RowEvaluator as
-solve() does, and compares every order of a field with the rows it
-regenerates at once, in one zero-padded series.grid.
-The tests replay the same IEEE operations in the same order in plain
-Python lists and compare the bits.
+residual() feeds the stored rows to a RowEvaluator as solve() does and
+compares every order of a field with the rows it regenerates: how far
+the series is from satisfying the system, exactly 0.0 on solve()'s own
+output for that system.
 
-The product kernel (numpy, in _backend) adds the dense loops' terms in
-their order, each column's sum starting at +0.0 as theirs do, and
-gathers at least two columns, since numpy sums a single column
-pairwise.  Each row takes the terms of the left factor's early rows and
-of the right factor's early rows, split where the fewest terms are
-gathered.  It skips the zero coefficients of the factor that supplies
-the terms and adds signed zeros for those of the other, which gives the
-dense loops' bits only while every coefficient is finite (a skipped
-0*inf would have been nan).
+Rows, TanhPoly's role as the boundary and the bitwise replay tests: see
+series.  The product kernel's term order and zero skipping: see
+_backend.  Constant folding: see dsl.RowEvaluator.
 
-Constants are folded, and a product with a constant factor is a row
-scale, not a kernel call, with the dense loops' bits while every
-coefficient is finite: see the RowEvaluator docstring.
-
-RowEvaluator.advance() therefore checks every row it is given, solve()
-and residual() check the last row as well, and residual() and
-eval_rhs() check every row they make; all raise on the first inf or nan instead of
-returning it as a number.  An overflow inside a right-hand side reaches
-the new row unless a product skips it: a zero constant on the left
-always does, and the kernel does where the factor that supplies the
-terms, left or right, holds an exact zero; there the skip gives the
-exact product, zero, where the dense loops gave nan.
-A nonzero constant literal that no float holds (a 400-digit integer, or
-one over it, which would round to 0.0) raises a TaylorPdeError naming it
-before any row is made.
+RowEvaluator.advance() checks every row it is given, solve() and
+residual() check the last row as well, and residual() and eval_rhs()
+check every row they make: all raise a TaylorPdeError on the first inf
+or nan instead of returning it as a number.  An overflow inside a
+right-hand side reaches the new row unless a product skips it: a zero
+constant on the left always does, and the kernel does where the factor
+that supplies the terms, left or right, holds an exact zero; there the
+skip gives the exact product, zero, where the dense loops gave nan.  A
+constant that no float holds is refused before any row is made (see
+dsl.RowEvaluator).
 """
 
 from __future__ import annotations
@@ -150,18 +133,14 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     the series is from satisfying it, which is how the fixtures'
     exact-solution claims are verified.  A TaylorPdeError names the order
     and field of the first inf or nan coefficient, stored or regenerated,
-    as in solve().  A ConfigError refuses a system whose field count is
-    not the solution's, and a ValueError a solution of order 0.
+    as in solve().  A ValueError refuses a solution of order 0, and the
+    evaluator's ConfigError a system whose field count is not the
+    solution's.
     """
     n = solution.order
-    series = solution.series
-    if len(series) != len(system.fields):
-        raise ConfigError(
-            f"system has {len(system.fields)} fields but state has {len(series)} entries"
-        )
     if n < 1:
         raise ValueError("order must be at least 1")
-    columns = [[p.row() for p in s.coeffs] for s in series]
+    columns = [[p.row() for p in s.coeffs] for s in solution.series]
     rhs = RowEvaluator(system)
     made_rows = [rhs.advance([col[j] for col in columns]) for j in range(n)]
     subjects = [f"field {f}" for f in system.fields]

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from taylorpde import (
@@ -12,7 +14,7 @@ from taylorpde import (
     parse_system,
     pretty,
 )
-from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, Pow, Sub
+from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, Pow, RowEvaluator, Sub
 
 
 def rhs_of(text):
@@ -229,3 +231,17 @@ class TestEvalRhs:
         with pytest.raises(TaylorPdeError, match=message + "coefficient of w\\^0 is inf$") as err:
             eval_rhs(sys, state, 1)
         assert type(err.value) is TaylorPdeError
+
+
+class TestRowEvaluator:
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0], [2.0], [math.inf]], [[1.0]]],
+        ids=["one-too-many", "one-too-few"],
+    )
+    def test_advance_checks_the_row_count(self, rows):
+        # An extra row, even an inf one, is not dropped unread.
+        evaluator = RowEvaluator(parse_system("u' = v\nv' = u"))
+        message = f"^system has 2 fields but state has {len(rows)} entries$"
+        with pytest.raises(ConfigError, match=message):
+            evaluator.advance([np.array(r) for r in rows])

@@ -172,8 +172,9 @@ class TestTimeSeries:
         [
             ([[1.0, math.inf]], [[0.0, 1.0]], r"^order 0 of the left factor .* w\^1 is inf$"),
             ([[1.0], [2.0]], [[1.0], [0.0, math.nan]], r"^order 1 of the right factor .* w\^1 is nan$"),
+            ([[1e200]], [[1e200]], r"^order 0 of the product .* w\^0 is inf$"),
         ],
-        ids=["inf-left", "nan-right"],
+        ids=["inf-left", "nan-right", "overflow"],
     )
     def test_mul_rejects_non_finite_rows(self, left, right, message):
         # The zero-skipping kernel would give (0.0, 1.0, inf) for the first
@@ -211,6 +212,12 @@ class TestTimeSeries:
     def test_dx_requires_positive_order(self):
         with pytest.raises(ValueError):
             TimeSeries([1.0]).dx(0)
+
+    def test_dx_rejects_an_overflow(self):
+        # dp/dw is (1e308, 2e308 = inf): the derivative is not returned.
+        message = r"^order 1 of the derivative is not finite: coefficient of w\^1 is inf$"
+        with pytest.raises(TaylorPdeError, match=message):
+            TimeSeries([[1.0], [0.0, 1e308, 1e308]]).dx()
 
 
 _coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
