@@ -115,11 +115,9 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
             f"denominator system is singular; the [{L}/{M}] fit is degenerate"
         ) from None
 
-    den = [1.0] + [float(v) for v in q]
-    num = []
-    for k in range(L + 1):
-        acc = c[k]
-        for s in range(1, min(k, M) + 1):
-            acc += den[s] * c[k - s]
-        num.append(acc)
-    return PadeApproximant(tuple(num), tuple(den), condition)
+    # num[k] = c[k] + sum of den[s] * c[k - s] for s = 1..min(k, M), added
+    # in increasing s: one array pass per s.
+    num = carr[: L + 1].copy()
+    for s in range(1, min(L, M) + 1):
+        num[s:] += q[s - 1] * carr[: L + 1 - s]
+    return PadeApproximant(tuple(num.tolist()), (1.0, *q.tolist()), condition)

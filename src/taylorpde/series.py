@@ -11,11 +11,13 @@ evaluation: what solve and eval_rhs return and what callers pass in.
 The arithmetic is on rows.  A row, one coefficient of a series in t, is
 a 1-D float64 array in TanhPoly's normal form (trim).  add_rows,
 sub_rows and dx_row here, numpy's negation, scaling and division, and
-the product kernels in _backend are the package's only polynomial
-arithmetic; TimeSeries.mul and dx go through them too.  check_finite is
-the one test for inf and nan coefficients, and grid the one zero-padding
-of rows into a 2-D array.  The tests replay these operations on plain
-Python lists and compare the bits.
+the product kernel _backend.series_product are the package's only
+polynomial arithmetic; TimeSeries.mul and dx go through them too.
+dx_row is two slice ops with the bits of the dense loop that multiplies
+by 1 - w**2.  check_finite is the one test for inf and nan
+coefficients, and grid the one zero-padding of rows into a 2-D array.
+The tests replay these operations on plain Python lists and compare the
+bits.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ import numpy as np
 from . import _backend
 from .errors import ConfigError, TaylorPdeError
 from .waves import partial_sum
-
-# dp/dw gets multiplied by (1 - w**2) when differentiating in x.
-_CHAIN = np.array([1.0, 0.0, -1.0])
-
 
 def trim(coeffs):
     """coeffs (a list or a row) without trailing zeros, at least one entry
@@ -62,9 +60,19 @@ def sub_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dx_row(row: np.ndarray) -> np.ndarray:
-    """Derivative in x of a row: (1 - w**2) * dp/dw."""
-    dp = np.arange(1.0, len(row)) * row[1:]
-    return trim(_backend.conv(dp, _CHAIN))
+    """Derivative in x of a row: (1 - w**2) * dp/dw, in two slice ops.
+
+    Column c is (0.0 - dp[c-2]) + dp[c], each term present where its
+    index is: the dense loop's sum for the factor [1, 0, -1] without its
+    zero middle term, which leaves the sum unchanged.  Overflow gives inf
+    or nan with numpy's warning; the evaluator and TimeSeries.dx call it
+    quietly.
+    """
+    dp = np.arange(1, len(row)) * row[1:]
+    out = np.zeros(len(row) + 1)
+    out[2:] = 0.0 - dp
+    out[: len(dp)] += dp
+    return trim(out)
 
 
 def grid(rows: Sequence) -> np.ndarray:

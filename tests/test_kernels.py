@@ -5,11 +5,12 @@ Known-value checks run on both, so the reference is checked too."""
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taylorpde import _backend
+from taylorpde import TanhPoly, _backend, parse_system, solve
 
 
 class _Dense:
@@ -242,3 +243,31 @@ def test_square_of_one_list_matches_dense_loop_bitwise(data):
     assert state.left is state.right
     assert _bits(tail) == dense
     assert _bits(_backend.series_product(a, a, order)) == dense
+
+
+def test_factor_windows_are_the_sliding_window_view(monkeypatch):
+    # _Factor builds its window from padded's shape and strides; after
+    # every row it takes, through each rebuild of a KdV solve, the window
+    # must be the view numpy's sliding_window_view gives, on padded's
+    # memory and read-only.
+    checked = []
+
+    class Checked(_backend._Factor):
+        def take(self, row, shift, need):
+            super().take(row, shift, need)
+            width = self.window.shape[2]
+            view = np.lib.stride_tricks.sliding_window_view(self.padded, width, axis=1)
+            assert self.window.shape == view.shape
+            assert self.window.strides == view.strides
+            assert not self.window.flags.writeable
+            assert np.shares_memory(self.window, self.padded)
+            checked.append((self, self.padded.shape))
+
+    monkeypatch.setattr(_backend, "_Factor", Checked)
+    solve(parse_system("u' = -6*u*u_x - u_xxx"), [TanhPoly([2, 0, -2])], 20)
+    # KdV's one kernel product, (-6*u) * u_x, has two factors; each takes
+    # the rows of orders 0..19 and is rebuilt as they outgrow it.
+    factors = {f for f, _ in checked}
+    assert len(factors) == 2 and len(checked) == 2 * 20
+    for f in factors:
+        assert len({shape for g, shape in checked if g is f}) >= 3

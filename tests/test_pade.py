@@ -152,7 +152,9 @@ class TestKinkAcceleration:
 
 def _list_build_fit(c, L, M):
     """pade_fit with the Toeplitz matrix built cell by cell from a nested
-    list comprehension; the reference for the indexed build."""
+    list comprehension and the numerator summed one term at a time; the
+    reference for the indexed build and the numerator's array passes.
+    It refuses a fit with pade_fit's messages."""
     c = [float(v) for v in c]
 
     def cc(idx):
@@ -162,11 +164,16 @@ def _list_build_fit(c, L, M):
     rhs = np.array([-c[L + m] for m in range(1, M + 1)])
     condition = float(np.linalg.cond(T))
     if not np.isfinite(condition) or condition > 1e12:
-        raise DegenerateSystemError("condition")
+        raise DegenerateSystemError(
+            f"denominator system condition {condition:.3e} exceeds 1e+12; "
+            f"the [{L}/{M}] fit is degenerate for these coefficients"
+        )
     try:
         q = np.linalg.solve(T, rhs)
     except np.linalg.LinAlgError:
-        raise DegenerateSystemError("singular") from None
+        raise DegenerateSystemError(
+            f"denominator system is singular; the [{L}/{M}] fit is degenerate"
+        ) from None
     den = [1.0] + [float(v) for v in q]
     num = []
     for k in range(L + 1):
@@ -211,3 +218,37 @@ def test_indexed_toeplitz_matches_list_build_bitwise(riccati40, x):
         assert _bits([ap.condition]) == _bits([condition]), (L, M)
     # Both outcomes are exercised: high orders are ill-conditioned.
     assert 0 < refused < len(_SWEEP_PAIRS)
+
+
+# Every [L/M] with L, M <= 24 and L + M <= 40, M = 0 included, at 15 points.
+_GRID_PAIRS = [(L, M) for L in range(25) for M in range(25) if L + M <= 40]
+
+
+def test_numerator_passes_match_the_scalar_loop_bitwise(riccati40):
+    # pade_fit adds den[s] * c[k - s] to num[k] one array pass per s; each
+    # k must still get its terms in increasing s, as the scalar loop adds
+    # them.  A refused fit must refuse with the same text.
+    fits = refused = 0
+    for x in np.linspace(-3.5, 3.5, 15):
+        coeffs = [p(x) for p in riccati40.series[0].coeffs]
+        for L, M in _GRID_PAIRS:
+            fits += 1
+            if M == 0:
+                num, den, condition = tuple(coeffs[: L + 1]), (1.0,), 1.0
+            else:
+                try:
+                    num, den, condition = _list_build_fit(coeffs, L, M)
+                except DegenerateSystemError as refusal:
+                    refused += 1
+                    with pytest.raises(DegenerateSystemError) as ours:
+                        pade_fit(coeffs, L, M)
+                    assert str(ours.value) == str(refusal)
+                    continue
+            ap = pade_fit(coeffs, L, M)
+            assert _bits(ap.num) == _bits(num), (x, L, M)
+            assert _bits(ap.den) == _bits(den), (x, L, M)
+            assert _bits([ap.condition]) == _bits([condition]), (x, L, M)
+            value = partial_sum(num, 0.2) / partial_sum(den, 0.2)
+            assert _bits([ap(0.2)]) == _bits([value]), (x, L, M)
+    assert fits == 8835
+    assert 0 < refused < fits

@@ -259,6 +259,29 @@ def test_row_functions_match_plain_lists_bitwise(a, b):
     assert _bits([twice.coeffs]) == _bits([plain._dx(plain._dx(a))])
 
 
+# Signed zeros, the smallest subnormals, values whose derivative overflows,
+# and any finite float.
+_extreme_rows = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=8,
+).map(trim)
+
+
+@given(st.one_of(_signed_rows, _extreme_rows))
+def test_dx_row_keeps_the_bits_of_the_chain_rule_product(row):
+    # dx_row's two slice ops against the general row product by
+    # [1, 0, -1], the sign of every zero, inf and nan included: overflow
+    # gives the same inf and nan on both paths.
+    r = np.array(row)
+    with np.errstate(all="ignore"):
+        chain = trim(_backend.conv(np.arange(1, len(r)) * r[1:], [1.0, 0.0, -1.0]))
+        assert _bits([dx_row(r)]) == _bits([chain])
+
+
 def test_series_eval_partial_sum_accuracy(riccati, riccati15):
     # Numerically verified: the order-15 partial sum at t=0.1 (deep inside
     # the convergence disk at x=0) reproduces the closed form to about

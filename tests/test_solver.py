@@ -14,7 +14,7 @@ from taylorpde import (
     residual,
     solve,
 )
-from taylorpde import _backend, cli
+from taylorpde import _backend, cli, dsl
 from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, PdeSystem, Pow, Sub, eval_rhs
 from taylorpde.series import sub_rows
 from test_kernels import _Dense
@@ -560,7 +560,7 @@ def test_each_factor_row_is_scanned_once(name, monkeypatch):
     assert len(calls) == scans
 
 
-# Derivative rows per order, each one _backend.conv call: one per distinct
+# Derivative rows per order, each one dx_row call: one per distinct
 # (field, derivative order), each derivative taken from the one below it
 # (u_xxx from u_xx from u_x).
 _DX_PER_ORDER = {"kdv": 3, "mixed": 5, "shared": 3}
@@ -569,14 +569,15 @@ _DX_PER_ORDER = {"kdv": 3, "mixed": 5, "shared": 3}
 @pytest.mark.parametrize("name", list(_DX_PER_ORDER))
 def test_each_derivative_row_is_one_dx(name, monkeypatch):
     system, initial, order = _SYSTEMS[name]
-    conv = _backend.conv
+    dx_row = dsl.dx_row
     calls = []
 
-    def recording(a, b):
-        calls.append(a)
-        return conv(a, b)
+    def recording(row):
+        calls.append(row)
+        return dx_row(row)
 
-    monkeypatch.setattr(_backend, "conv", recording)
+    # The evaluator's derivative steps look dx_row up in dsl at each call.
+    monkeypatch.setattr(dsl, "dx_row", recording)
     sol = solve(system, initial, order)
     assert len(calls) == _DX_PER_ORDER[name] * order
     calls.clear()
