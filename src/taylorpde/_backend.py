@@ -2,9 +2,10 @@
 
 Rows are 1-D float64 arrays, and both kernels are numpy.
 series_product, the Cauchy product of two series, is the package's one
-product kernel: it makes row k from at most two gathered (terms x width)
-blocks, each scaled and summed by column: one takes its terms from the
-left factor, the other from the right.  conv, the product of two rows,
+product kernel: it makes row k from gathered (terms x width) blocks,
+each scaled and summed by column.  A product of two lists gathers at
+most two, one of terms from the left factor and one from the right; a
+square gathers one and sums it twice.  conv, the product of two rows,
 adds one scaled copy of its left factor per nonzero coefficient of its
 right factor; nothing in the package calls it (series.dx_row multiplies
 by 1 - w**2 in two slice ops), but the tests and the benchmark's
@@ -38,6 +39,18 @@ adding terms in increasing i, then p):
   to +0.0 (tests/test_kernels.py pins this).  A one-column block is
   summed pairwise instead, in another order, so blocks are always
   gathered at least two columns wide and the extra column is dropped.
+- A square (a is b) gathers only its terms a[i][p] for i <= k//2, in
+  (i, p) order over the windows of rows k - i, and sums them.  Term
+  (i, p) at column c is a[i][p] * a[k-i][c-p], the very product of the
+  pair (k - i, c - p), so the pairs i > k//2 are the block's rows of
+  i <= k - k//2 - 1, a prefix, taken in descending (i, p) order:
+  ascending k - i and, within a column, ascending c - p, as above.  The
+  kernel reduces that prefix through a reversed view, whose first row
+  first adds the forward column sums.  numpy reduces a view with a
+  negative row stride in the view's order, not in memory order
+  (tests/test_kernels.py pins this too), so each column is again one
+  sequential sum in the dense order.  When rows 0..k//2 hold no nonzero
+  term, every pair has a zero factor and the row is +0.0s.
 
 A zero times inf or nan is nan, so the inputs must be finite;
 solver.solve checks every row it produces.  Finite inputs can still
@@ -159,19 +172,25 @@ class _Factor:
         self.ends[j + 1] = m
         self.padded[j, pad : pad + len(row)] = row
 
-    def sums(self, k: int, rows, powers, values, cols: int, acc=None) -> np.ndarray:
-        """Column sums, in order and after acc if given, of the terms
-        values[t] times row k - rows[t] shifted right by powers[t], over
-        the first cols columns.
+    def block(self, k: int, rows, powers, values, cols: int) -> np.ndarray:
+        """The gathered (terms x cols) block whose row t is values[t] times
+        row k - rows[t] shifted right by powers[t], over the first cols
+        columns.
 
-        The block lives only in this call, so the next one can reuse its
-        memory: with two blocks alive at once, the largest rows faulted in
-        fresh pages on every call."""
+        A caller keeps it only while it sums it, so the next block can
+        reuse its memory: with two blocks alive at once, the largest rows
+        faulted in fresh pages on every call."""
         block = self.window[k::-1, self.pad :: -1][rows, powers, :cols]
         block *= values[:, None]
-        if acc is not None:
-            block[0] += acc
-        return np.add.reduce(block, axis=0)
+        return block
+
+
+def _column_sums(block: np.ndarray, acc=None) -> np.ndarray:
+    """Column sums of block, row by row in its view's order, after acc if
+    given; block's first row takes acc in place."""
+    if acc is not None:
+        block[0] += acc
+    return np.add.reduce(block, axis=0)
 
 
 class ProductState:
@@ -179,12 +198,15 @@ class ProductState:
 
     Rows are absorbed in order, once each, into one _Factor per distinct
     factor, left and right: a square (a and b the same list) keeps one.
-    Row k is the sum over i of a[i] * b[k - i], split at split(k) = m:
-    the terms of a's rows 0..m times b's shifted rows, then the terms of
-    b's rows 0..k-m-1, in descending (r, q) order, times a's shifted rows
-    (see the module docstring).  Each block has one row per nonzero term
-    it takes, so a pair is skipped when the factor that supplies its term
-    holds an exact zero there.
+    Row k is the sum over i of a[i] * b[k - i].  For two lists it is
+    split at split(k) = m: the terms of a's rows 0..m times b's shifted
+    rows, then the terms of b's rows 0..k-m-1, in descending (r, q)
+    order, times a's shifted rows.  A square gathers one block, the
+    terms of rows 0..k//2 times the shifted rows k..k-k//2, and sums it
+    forward and then, through a reversed view of its rows 0..k-k//2-1,
+    for the mirrored pairs (see the module docstring).  Each block has
+    one row per nonzero term it takes, so a pair is skipped when the
+    factor that supplies its term holds an exact zero there.
     """
 
     def __init__(self):
@@ -211,26 +233,46 @@ class ProductState:
     def split(self, k: int) -> int:
         """The m in -1..k, the first if several, whose blocks for row k are
         shortest: left terms of rows 0..m plus right terms of rows
-        0..k-1-m."""
+        0..k-1-m.  Only a product of two lists splits; a square does not
+        call it."""
         return int((self.left.ends[: k + 2] + self.right.ends[k + 1 :: -1]).argmin()) - 1
 
     def row(self, k: int) -> np.ndarray:
         """Row k of the product; rows 0..k must have been absorbed."""
         a, b = self.left, self.right
         width = max(1, max(map(add, a.lengths[: k + 1], b.lengths[k::-1])) - 1)
-        m = self.split(k)
         # At least two columns: numpy sums one column pairwise.
         cols = max(width, 2)
+        if a is b:
+            return self._square_row(k, width, cols)
+        m = self.split(k)
         acc = None
         n = a.ends[m + 1]
         if n:
-            acc = b.sums(k, a.rows[:n], a.powers[:n], a.values[:n], cols)
+            acc = _column_sums(b.block(k, a.rows[:n], a.powers[:n], a.values[:n], cols))
         n = b.ends[k - m]
         if n:
             back = slice(n - 1, None, -1)
-            acc = a.sums(k, b.rows[back], b.powers[back], b.values[back], cols, acc)
+            block = a.block(k, b.rows[back], b.powers[back], b.values[back], cols)
+            acc = _column_sums(block, acc)
         if acc is None:
             return np.zeros(width)
+        return acc[:width]
+
+    def _square_row(self, k: int, width: int, cols: int) -> np.ndarray:
+        """Row k of a square: one block of the terms of rows 0..k//2,
+        summed forward for the pairs i <= k//2 and then, over its prefix
+        of rows 0..k-k//2-1 reversed, for the mirrored pairs i > k//2."""
+        a = self.left
+        h = k // 2
+        rows, powers, values = a.terms(h)
+        if not len(rows):
+            return np.zeros(width)
+        block = a.block(k, rows, powers, values, cols)
+        acc = _column_sums(block)
+        n = a.ends[k - h]
+        if n:
+            acc = _column_sums(block[n - 1 :: -1], acc)
         return acc[:width]
 
 

@@ -435,9 +435,12 @@ class RowEvaluator:
     keeps a _backend.ProductState, the nonzero terms and a zero-padded
     copy of the rows of each factor (of the one factor of a square such
     as u^2), so every factor row is taken in once, not once per later
-    order.  Each product row takes its terms from one factor's early rows
-    and the other's, and skips a pair when the factor that supplies its
-    term holds an exact zero there; that is not always the left factor.
+    order.  A row of a product of two series takes its terms from one
+    factor's early rows and the other's; a row of a square takes them
+    once, from its factor's rows up to half the order, and reuses each
+    product for the mirrored pair.  Either skips a pair when the factor
+    that supplies its term holds an exact zero there; that is not always
+    the left factor.
 
     Constants are folded through the same row functions.  A constant is
     two rows, row 0 and the row of every later order.  A sum, difference

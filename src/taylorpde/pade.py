@@ -116,8 +116,13 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
         ) from None
 
     # num[k] = c[k] + sum of den[s] * c[k - s] for s = 1..min(k, M), added
-    # in increasing s: one array pass per s.
-    num = carr[: L + 1].copy()
-    for s in range(1, min(L, M) + 1):
-        num[s:] += q[s - 1] * carr[: L + 1 - s]
-    return PadeApproximant(tuple(num.tolist()), (1.0, *q.tolist()), condition)
+    # in increasing s.  A scalar loop: at the orders fitted here an array
+    # pass per s costs more than the whole loop.
+    den = (1.0, *q.tolist())
+    num = []
+    for k in range(L + 1):
+        acc = c[k]
+        for s in range(1, min(k, M) + 1):
+            acc += den[s] * c[k - s]
+        num.append(acc)
+    return PadeApproximant(tuple(num), den, condition)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taylorpde import TanhPoly, _backend, parse_system, solve
+from taylorpde import FIXTURES, TanhPoly, _backend, parse_system, solve
 
 
 class _Dense:
@@ -206,6 +206,40 @@ def test_a_column_of_negative_zero_terms_sums_to_positive_zero():
     assert _bits([row]) == _bits(_Dense.series_product(a, b, 1, start=1))
 
 
+def _sequential_sums(rows):
+    """Column sums of rows added one at a time, from +0.0, in the given
+    order."""
+    acc = [0.0] * len(rows[0])
+    for row in rows:
+        acc = [x + y for x, y in zip(acc, row)]
+    return acc
+
+
+def test_a_reversed_view_sums_in_the_view_order():
+    # A square's mirrored half reduces a reversed view of its block, so
+    # numpy must add that view's rows in view order, not in memory order.
+    # Every column of this block rounds differently forward and backward.
+    block = np.array(
+        [
+            [0.0, 1e16, 0.1],
+            [0.1, 1.0, 1e16],
+            [0.2, -1e16, 1.0],
+            [0.3, 1.0, -1e16],
+        ]
+    )
+    forward = _sequential_sums(block.tolist())
+    backward = _sequential_sums(block.tolist()[::-1])
+    assert all(f != b for f, b in zip(forward, backward))
+    assert _bits([np.add.reduce(block, axis=0)]) == _bits([forward])
+    assert _bits([np.add.reduce(block[::-1], axis=0)]) == _bits([backward])
+    # The kernel's view: a reversed prefix whose first row has first
+    # taken the forward sums.
+    view = block.copy()[2::-1]
+    view[0] += forward
+    want = _sequential_sums([forward, *block.tolist()[2::-1]])
+    assert _bits([np.add.reduce(view, axis=0)]) == _bits([want])
+
+
 def _lopsided_rows(data, order, label):
     """order+1 rows that are all dense, all sparse, or a mix: long rows
     of any coefficients, short rows, and rows of signed zeros only."""
@@ -243,6 +277,81 @@ def test_square_of_one_list_matches_dense_loop_bitwise(data):
     assert state.left is state.right
     assert _bits(tail) == dense
     assert _bits(_backend.series_product(a, a, order)) == dense
+
+
+def _count_gathers(monkeypatch):
+    """The shapes of the blocks that _Factor gathers, appended as made."""
+    shapes = []
+    block = _backend._Factor.block
+
+    def counted(self, *args):
+        out = block(self, *args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(_backend._Factor, "block", counted)
+    return shapes
+
+
+def test_square_rows_gather_one_block_and_keep_the_dense_bits(monkeypatch):
+    # Rows of odd and even k, whose sums round and whose factor holds
+    # signed zeros: each takes one block, summed forward and then
+    # mirrored, with the dense loops' bits.
+    shapes = _count_gathers(monkeypatch)
+    a = [
+        [0.1, -0.0, 0.3],
+        [0.0, 1 / 3, -0.0, 2 / 7],
+        [-0.0, 0.7],
+        [0.2, 0.0, -1 / 9, 0.0, 5 / 11],
+        [1 / 13, -0.0],
+        [-0.0, 0.0, 3 / 17],
+        [0.6, 1 / 19, -0.0, 0.0, -2 / 23],
+    ]
+    state = _backend.ProductState()
+    for k in range(len(a)):
+        shapes.clear()
+        row = _backend.series_product(a, a, k, start=k, nonzero=state)[0]
+        assert _bits([row]) == _bits(_Dense.series_product(a, a, k, start=k)), k
+        assert len(shapes) == 1, k
+    # Rows 0..2 hold only signed zeros.  Every pair of rows k <= 5 has
+    # one of them, so those rows are +0.0s, made without a gather.
+    a = [[0.0, -0.0], [-0.0], [0.0, 0.0, -0.0], [1.0, 2.0], [3.0], [-1.0], [0.5]]
+    state = _backend.ProductState()
+    for k in range(len(a)):
+        shapes.clear()
+        row = _backend.series_product(a, a, k, start=k, nonzero=state)[0]
+        dense = _Dense.series_product(a, a, k, start=k)
+        assert _bits([row]) == _bits(dense), k
+        assert len(shapes) == (k == 6), k
+        if k < 6:
+            assert _bits([row]) == _bits([[0.0] * len(row)]), k
+    assert _bits([row]) == _bits([[1.0, 4.0, 4.0]])
+
+
+def test_a_square_gathers_once_per_row_and_two_lists_at_most_twice(monkeypatch):
+    # coupled makes three squares per order, KdV one product of two
+    # lists, (-6*u) * u_x.
+    shapes = _count_gathers(monkeypatch)
+    per_row = []
+    row = _backend.ProductState.row
+
+    def counted(self, k):
+        before = len(shapes)
+        out = row(self, k)
+        per_row.append((self.left is self.right, len(shapes) - before))
+        return out
+
+    monkeypatch.setattr(_backend.ProductState, "row", counted)
+    fx = FIXTURES["coupled"]
+    solve(fx.system, fx.initial, 60)
+    assert per_row == [(True, 1)] * (3 * 60)
+    # Block entries per coupled order-60 solve: 1,542,525 when a square
+    # row gathered both halves of its sum, one block per half.
+    assert sum(r * c for r, c in shapes) == 786_885
+    per_row.clear()
+    solve(parse_system("u' = -6*u*u_x - u_xxx"), [TanhPoly([2, 0, -2])], 50)
+    assert len(per_row) == 50
+    assert all(not square and 1 <= n <= 2 for square, n in per_row)
 
 
 def test_factor_windows_are_the_sliding_window_view(monkeypatch):

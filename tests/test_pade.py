@@ -153,7 +153,7 @@ class TestKinkAcceleration:
 def _list_build_fit(c, L, M):
     """pade_fit with the Toeplitz matrix built cell by cell from a nested
     list comprehension and the numerator summed one term at a time; the
-    reference for the indexed build and the numerator's array passes.
+    reference for the indexed build and the numerator's order of terms.
     It refuses a fit with pade_fit's messages."""
     c = [float(v) for v in c]
 
@@ -225,9 +225,9 @@ _GRID_PAIRS = [(L, M) for L in range(25) for M in range(25) if L + M <= 40]
 
 
 def test_numerator_passes_match_the_scalar_loop_bitwise(riccati40):
-    # pade_fit adds den[s] * c[k - s] to num[k] one array pass per s; each
-    # k must still get its terms in increasing s, as the scalar loop adds
-    # them.  A refused fit must refuse with the same text.
+    # Each num[k] must get its terms den[s] * c[k - s] in increasing s, as
+    # the scalar loop adds them.  A refused fit must refuse with the same
+    # text.
     fits = refused = 0
     for x in np.linspace(-3.5, 3.5, 15):
         coeffs = [p(x) for p in riccati40.series[0].coeffs]
