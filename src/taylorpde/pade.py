@@ -20,6 +20,8 @@ from .waves import partial_sum
 
 # Above this condition number the fitted denominator digits are noise.
 _COND_LIMIT = 1e12
+# At or below this |denominator| an approximant refuses to evaluate.
+POLE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class PadeApproximant:
     def __call__(self, t: float) -> float:
         p = partial_sum(self.num, t)
         q = partial_sum(self.den, t)
-        if abs(q) <= 1e-300:
+        if abs(q) <= POLE_FLOOR:
             raise PoleEvaluationError(f"denominator vanishes at t = {t!r}")
         return p / q
 

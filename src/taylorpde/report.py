@@ -12,7 +12,10 @@ to_csv writes column by column, and each column's text equals format_cell's
 cell by cell.  A float64 array or a column of exact floats is formatted
 once per distinct value, keyed on its 64-bit pattern: a key by value would
 give -0.0 the text of 0.0, which equals it, and would never find nan, which
-equals nothing.  A column of exact ints is written with str once per value
+equals nothing.  The distinct values are formatted by one % call over
+'%.17g\n' repeated once per value, whose text is split at the line
+breaks; the SVG's pixel coordinates are formatted the same way with
+'%.2f'.  A column of exact ints is written with str once per value
 and one of exact strs as it is; any other mix (bool, numpy scalars,
 subclasses, Fraction) goes through format_cell, so booleans are refused.
 A string cell, column name or metadata pair that from_csv would misread
@@ -22,7 +25,7 @@ is refused.
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +33,7 @@ import numpy as np
 from . import fixtures
 from ._backend import quiet
 from .errors import ConfigError
-from .pade import pade_fit
+from .pade import POLE_FLOOR, PadeApproximant, pade_fit
 from .series import grid
 from .solver import solve
 
@@ -97,13 +100,19 @@ def _misread(text: str, first: bool, alone: bool) -> bool:
     return "," in text or text.splitlines() != [text] or (first and text[0] == "#")
 
 
+def _formatted(spec: str, values: list) -> list[str]:
+    """spec % value for each of `values`, from one % call over the template
+    repeated once per value, a line each."""
+    return (f"{spec}\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
 def _column_texts(name: str, column, first: bool, alone: bool) -> list[str]:
     """format_cell's text of every cell of column `name`; a string cell
     that from_csv would not read back as itself raises ConfigError."""
     kinds = {float} if getattr(column, "dtype", None) == np.float64 else set(map(type, column))
     if kinds == {float}:
         bits, inverse = np.unique(np.asarray(column).view(np.int64), return_inverse=True)
-        texts = list(map(_FLOAT_SPEC.__mod__, bits.view(np.float64).tolist()))
+        texts = _formatted(_FLOAT_SPEC, bits.view(np.float64).tolist())
         return np.array(texts, dtype=object)[inverse].tolist()
     if kinds == {int}:
         texts = {cell: str(cell) for cell in set(column)}
@@ -221,6 +230,19 @@ def _horner(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return acc
 
 
+@quiet
+def _pade_column(approximant: PadeApproximant, ts: np.ndarray) -> np.ndarray:
+    """approximant(t) at each of `ts`: the scalar call's two Horner passes
+    and division per element, so the bits are its own.  At the first t
+    where the denominator vanishes, the scalar call raises its
+    PoleEvaluationError."""
+    q = _horner(np.array(approximant.den), ts)
+    poles = np.flatnonzero(np.abs(q) <= POLE_FLOOR)
+    if poles.size:
+        approximant(ts[poles[0]].item())
+    return _horner(np.array(approximant.num), ts) / q
+
+
 def _coefficients(series, xs) -> np.ndarray:
     """The (x, power) matrix of `series` at `xs`: one Horner pass in
     w = tanh(x) over coefficients padded with top zeros, which keep it at
@@ -264,10 +286,13 @@ def error_table(fixture: str, orders, xs, ts) -> Table:
     with np.errstate(over="ignore"):
         # A huge t over a radius below 1 is inf, silently, as in Python.
         t_over_radius = t_row[:, None] / radius
-    # The field, x, t and order cells are the given objects themselves.
-    index = np.indices(approx.shape).reshape(4, -1).tolist()
-    grids = zip((fx.system.fields, xs, ts, orders), index)
-    cells = [tuple(map(values.__getitem__, i)) for values, i in grids]
+    # The field, x, t and order cells are the given objects themselves:
+    # each value repeats once per cell of the later axes, and the whole
+    # column once per cell of the earlier ones.
+    cells = []
+    for axis, values in enumerate((fx.system.fields, xs, ts, orders)):
+        inner, outer = math.prod(approx.shape[axis + 1 :]), math.prod(approx.shape[:axis])
+        cells.append(tuple(chain.from_iterable(map(repeat, values, repeat(inner)))) * outer)
     for values in (approx, exact, abs_error, radius, t_over_radius):
         cells.append(np.broadcast_to(values, approx.shape).ravel())
         cells[-1].flags.writeable = False  # a returned Table is immutable
@@ -326,7 +351,7 @@ def divergence_figure(
     cells = [ts, tuple(wave(x, t) for t in ts)]
     cells.extend(tuple(_horner(coeff_row[: n + 1], t_row).tolist()) for n in orders)
     if approximant is not None:
-        cells.append(tuple(approximant(t) for t in ts))
+        cells.append(tuple(_pade_column(approximant, t_row).tolist()))
 
     meta = [
         ("fixture", fx.name),
@@ -351,23 +376,28 @@ def render_figure_svg(table: Table) -> str:
     and dash pattern, and the convergence radius from the table metadata
     appears as a vertical line.  Points leaving the plotted band split
     their polyline instead of being clamped, so divergence shows as a
-    curve running off the frame.
+    curve running off the frame.  The t axis runs from the first t to the
+    last, so a table whose first and last t are equal (or that has fewer
+    than two rows) raises ConfigError.
     """
     meta = dict(table.meta)
     width, height = 720.0, 480.0
     left, right, top, bottom = 64.0, 16.0, 16.0, 48.0
 
     ts, exact = table.cells[0], table.cells[1]
+    if len(ts) < 2 or ts[0] == ts[-1]:
+        raise ConfigError("a figure needs a t column whose first and last values differ")
     t_lo, t_hi = ts[0], ts[-1]
     y_lo, y_hi = min(exact), max(exact)
     pad = 0.6 * (y_hi - y_lo) if y_hi > y_lo else 1.0
     y_lo -= pad
     y_hi += pad
 
-    def sx(t: float) -> float:
+    # Pixel coordinates of a float or, element by element, of a float64 array.
+    def sx(t):
         return left + (t - t_lo) / (t_hi - t_lo) * (width - left - right)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return top + (y_hi - v) / (y_hi - y_lo) * (height - top - bottom)
 
     parts = [
@@ -423,17 +453,26 @@ def render_figure_svg(table: Table) -> str:
         (_PALETTE[i % len(_PALETTE)], f' stroke-dasharray="{_DASHES[i % len(_DASHES)]}"')
         for i in range(len(curves) - 1)
     ]
+    # Curves are mapped as whole arrays, quietly, as Python floats overflow.
     # Each sample's x coordinate is formatted once, for every curve; each
     # run of two or more points inside the band is one polyline.
-    x_texts = [f"{sx(t):.2f}," for t in ts]
-    for values, (stroke, dash_attr) in zip(table.cells[1:], styles):
-        for inside, run in groupby(zip(x_texts, values), lambda p: y_lo <= p[1] <= y_hi):
-            points = [f"{x_text}{sy(v):.2f}" for x_text, v in run] if inside else ()
-            if len(points) > 1:
-                parts.append(
-                    f'<polyline points="{" ".join(points)}" fill="none" '
-                    f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
-                )
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_texts = _formatted("%.2f,", sx(np.asarray(ts, dtype=float)).tolist())
+        for values, (stroke, dash_attr) in zip(table.cells[1:], styles):
+            v = np.asarray(values, dtype=float)
+            py = sy(v)
+            inside = (y_lo <= v) & (v <= y_hi)
+            # Where the mask changes, with False beyond both ends: each
+            # in-band run's start, then its stop.
+            edges = np.flatnonzero(np.diff(inside, prepend=False, append=False)).tolist()
+            for start, stop in zip(edges[::2], edges[1::2]):
+                if stop - start > 1:
+                    y_texts = _formatted("%.2f", py[start:stop].tolist())
+                    points = " ".join(map(str.__add__, x_texts[start:stop], y_texts))
+                    parts.append(
+                        f'<polyline points="{points}" fill="none" '
+                        f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
+                    )
 
     # Legend, top left inside the frame.
     lx, ly = left + 12.0, top + 12.0

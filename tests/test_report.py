@@ -3,7 +3,7 @@ import math
 import re
 import struct
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from taylorpde import (
     FIXTURES,
     ConfigError,
+    PadeApproximant,
+    PoleEvaluationError,
     Table,
     divergence_figure,
     error_table,
@@ -30,6 +32,8 @@ PAPER_XS = (-15.0, -10.0, -5.0, 5.0, 10.0)
 PAPER_TS = (0.1, 0.2, 0.3, 0.4, 0.5)
 PAPER_ARGS = dict(fixture="riccati", orders=(2, 5), xs=PAPER_XS, ts=PAPER_TS)
 FIGURE_ARGS = dict(fixture="riccati", orders=(5, 15), x=0.0, pade=(7, 8), t_max=0.5, samples=21)
+# The figure of the benchmark's `figure` command.
+BENCHMARK_FIGURE = dict(fixture="riccati", orders=(5, 15, 25), pade=(7, 8), samples=2001)
 
 
 BENCHMARK_GRID = dict(
@@ -104,6 +108,11 @@ def paper_table():
 @pytest.fixture(scope="module")
 def figure_table():
     return divergence_figure("riccati", (5, 15), pade=(7, 8))
+
+
+@pytest.fixture(scope="module")
+def benchmark_figure():
+    return divergence_figure(**BENCHMARK_FIGURE)
 
 
 @pytest.fixture(scope="module")
@@ -308,9 +317,34 @@ class TestDivergenceFigure:
                 assert row[ci] == series.eval(2.5, row[0])
 
     @pytest.mark.parametrize(
+        ("den", "t_max", "samples"), [((1.0, -2.0), 0.5, 2), ((1.0, -3.0, 2.0), 1.0, 3)]
+    )
+    def test_a_pade_pole_raises_the_scalar_error(self, monkeypatch, den, t_max, samples):
+        # 1 - 2t vanishes at the last sample, 0.5; (1 - t)(1 - 2t) at the
+        # last two, 0.5 and 1.  The first raises, with the scalar call's text.
+        approximant = PadeApproximant((1.0,), den, 1.0)
+        monkeypatch.setattr(report, "pade_fit", lambda *args: approximant)
+        pade = (0, len(den) - 1)
+        message = "denominator vanishes at t = 0.5"
+        for call in (
+            lambda: approximant(0.5),
+            lambda: divergence_figure("riccati", (5,), pade=pade, t_max=t_max, samples=samples),
+        ):
+            with pytest.raises(PoleEvaluationError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_an_overflowing_pade_column_is_nan_as_in_the_scalar_call(self, monkeypatch):
+        # t^2 / (1 + t^2) past t = 1e155 is inf / inf: nan, with no warning.
+        approximant = PadeApproximant((0.0, 0.0, 1.0), (1.0, 0.0, 1.0), 1.0)
+        monkeypatch.setattr(report, "pade_fit", lambda *args: approximant)
+        table = divergence_figure("riccati", (5,), pade=(2, 2), t_max=1e300, samples=3)
+        assert list(map(repr, table.cells[-1])) == ["0.0", "nan", "nan"]
+        assert list(map(repr, map(approximant, table.cells[0]))) == ["0.0", "nan", "nan"]
+
+    @pytest.mark.parametrize(
         "args",
         [
-            dict(fixture="riccati", orders=(5, 15, 25), x=0.0, pade=(7, 8), t_max=0.5, samples=2001),
+            dict(BENCHMARK_FIGURE, x=0.0, t_max=0.5),
             dict(fixture="coupled", orders=(12, 3), x=-2.5, pade=None, t_max=3, samples=101),
             dict(fixture="riccati", orders=(40,), x=0.0, pade=(2, 2), t_max=1e300, samples=2),
         ],
@@ -494,15 +528,18 @@ def _per_cell_csv(table):
     return "\n".join(lines) + "\n"
 
 
-def _assert_same_csv(table):
-    """to_csv(table) equals the per-cell writer's text; a mismatch names its
-    first differing line (a diff of megabyte strings would take minutes)."""
-    got = to_csv(table)
-    want = _per_cell_csv(table)
+def _assert_same_text(got, want, writer, reference):
+    """`got` equals `want`; a mismatch names its first differing line (a
+    diff of megabyte strings would take minutes)."""
     if got != want:
         pairs = zip_longest(got.split("\n"), want.split("\n"))
         line, (a, b) = next((i, ab) for i, ab in enumerate(pairs) if ab[0] != ab[1])
-        pytest.fail(f"line {line}: to_csv wrote {a!r}, per-cell writer {b!r}")
+        pytest.fail(f"line {line}: {writer} wrote {a!r}, {reference} {b!r}")
+
+
+def _assert_same_csv(table):
+    """to_csv(table) equals the per-cell writer's text."""
+    _assert_same_text(to_csv(table), _per_cell_csv(table), "to_csv", "per-cell writer")
 
 
 class _TaggedInt(int):
@@ -655,9 +692,134 @@ class TestRowTemplates:
         assert len(table.rows) == 3 * 41 * 40 * 4
         _assert_same_csv(table)
 
-    def test_pade_figure_matches_per_cell_writer(self):
-        table = divergence_figure("riccati", (5, 15, 25), pade=(7, 8), samples=2001)
-        _assert_same_csv(table)
+    def test_pade_figure_matches_per_cell_writer(self, benchmark_figure):
+        _assert_same_csv(benchmark_figure)
+
+
+def _per_point_svg(table):
+    """The renderer render_figure_svg replaces, scalar coordinates per point
+    and in-band runs from groupby; kept as the byte-for-byte reference."""
+    meta = dict(table.meta)
+    width, height = 720.0, 480.0
+    left, right, top, bottom = 64.0, 16.0, 16.0, 48.0
+
+    ts, exact = table.cells[0], table.cells[1]
+    t_lo, t_hi = ts[0], ts[-1]
+    y_lo, y_hi = min(exact), max(exact)
+    pad = 0.6 * (y_hi - y_lo) if y_hi > y_lo else 1.0
+    y_lo -= pad
+    y_hi += pad
+
+    def sx(t):
+        return left + (t - t_lo) / (t_hi - t_lo) * (width - left - right)
+
+    def sy(v):
+        return top + (y_hi - v) / (y_hi - y_lo) * (height - top - bottom)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+    ]
+
+    def line(x1, y1, x2, y2, stroke="black", style=' stroke-width="1"'):
+        parts.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{stroke}"{style}/>'
+        )
+
+    axis_y = height - bottom
+    line(left, axis_y, width - right, axis_y)
+    line(left, top, left, axis_y)
+    for i in range(6):
+        t = t_lo + (t_hi - t_lo) * i / 5
+        px = sx(t)
+        line(px, axis_y, px, axis_y + 5)
+        parts.append(
+            f'<text x="{px:.2f}" y="{axis_y + 20:.2f}" font-size="12" '
+            f'text-anchor="middle">{t:.2f}</text>'
+        )
+    for i in range(5):
+        v = y_lo + (y_hi - y_lo) * i / 4
+        py = sy(v)
+        line(left - 5, py, left, py)
+        parts.append(
+            f'<text x="{left - 8:.2f}" y="{py + 4:.2f}" font-size="12" '
+            f'text-anchor="end">{v:.2f}</text>'
+        )
+    parts.append(
+        f'<text x="{(left + width - right) / 2:.2f}" y="{height - 10:.2f}" '
+        f'font-size="13" text-anchor="middle">t</text>'
+    )
+
+    radius_text = meta.get("radius")
+    if radius_text is not None:
+        radius = float(radius_text)
+        if t_lo <= radius <= t_hi:
+            px = sx(radius)
+            line(px, top, px, axis_y, "#888888", ' stroke-width="1" stroke-dasharray="3 3"')
+            parts.append(
+                f'<text x="{px + 4:.2f}" y="{top + 14:.2f}" font-size="12" '
+                f'fill="#555555">R = {radius:.4f}</text>'
+            )
+
+    curves = list(table.columns[1:])
+    palette, dashes = report._PALETTE, report._DASHES
+    styles = [("#000000", "")] + [
+        (palette[i % len(palette)], f' stroke-dasharray="{dashes[i % len(dashes)]}"')
+        for i in range(len(curves) - 1)
+    ]
+    x_texts = [f"{sx(t):.2f}," for t in ts]
+    for values, (stroke, dash_attr) in zip(table.cells[1:], styles):
+        for inside, run in groupby(zip(x_texts, values), lambda p: y_lo <= p[1] <= y_hi):
+            points = [f"{x_text}{sy(v):.2f}" for x_text, v in run] if inside else ()
+            if len(points) > 1:
+                parts.append(
+                    f'<polyline points="{" ".join(points)}" fill="none" '
+                    f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
+                )
+
+    lx, ly = left + 12.0, top + 12.0
+    box_h = 18.0 * len(curves) + 8.0
+    parts.append(
+        f'<rect x="{lx - 6:.2f}" y="{ly - 6:.2f}" width="150" '
+        f'height="{box_h:.2f}" fill="white" stroke="#cccccc"/>'
+    )
+    for ci, (name, (stroke, dash_attr)) in enumerate(zip(curves, styles)):
+        yy = ly + 18.0 * ci + 6.0
+        line(lx, yy, lx + 28, yy, stroke, f' stroke-width="1.5"{dash_attr}')
+        parts.append(f'<text x="{lx + 34:.2f}" y="{yy + 4:.2f}" font-size="12">{name}</text>')
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# Curve values that leave the band around a curve in [-2, 2] and come back,
+# often for a single point, and that hold nan and both infinities.
+_CURVE_VALUES = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-20.0, max_value=20.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _figure_tables(draw):
+    """Figure tables of 2-12 samples over t in [0, t_max]: an exact curve and
+    0-3 more curves drawn from _CURVE_VALUES, exact also from [-2, 2] alone,
+    with a radius line inside, outside or absent."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    t_max = draw(st.floats(min_value=0.01, max_value=5.0))
+    ts = tuple(t_max * i / (n - 1) for i in range(n))
+    exact_values = draw(st.sampled_from([st.floats(min_value=-2.0, max_value=2.0), _CURVE_VALUES]))
+    cells = [ts, tuple(draw(st.lists(exact_values, min_size=n, max_size=n)))]
+    others = draw(st.integers(min_value=0, max_value=3))
+    cells += [tuple(draw(st.lists(_CURVE_VALUES, min_size=n, max_size=n))) for _ in range(others)]
+    columns = ("t", "exact") + tuple(f"T{i}" for i in range(others))
+    meta = ()
+    if draw(st.booleans()):
+        meta = (("radius", repr(draw(st.floats(min_value=0.0, max_value=2 * t_max)))),)
+    return Table(columns, tuple(cells), meta)
 
 
 class TestSvg:
@@ -676,3 +838,23 @@ class TestSvg:
     def test_deterministic(self, figure_svg):
         table = divergence_figure("riccati", (5, 15), pade=(7, 8))
         assert render_figure_svg(table) == figure_svg
+
+    @pytest.mark.parametrize(
+        "cells", [((0.5,), (1.0,)), ((0.0, 0.0), (1.0, 2.0)), ((0.0, 1.0, 0.0), (1.0, 2.0, 3.0))]
+    )
+    def test_refuses_a_t_column_without_a_span(self, cells):
+        # The t axis runs from the first t to the last, which must differ.
+        message = "a figure needs a t column whose first and last values differ"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            render_figure_svg(Table(("t", "exact"), cells))
+
+    def test_benchmark_figure_matches_per_point_renderer(self, benchmark_figure):
+        svg = render_figure_svg(benchmark_figure)
+        assert svg.count("<polyline") == 5
+        _assert_same_text(svg, _per_point_svg(benchmark_figure), "render", "per-point renderer")
+
+    @given(_figure_tables())
+    def test_matches_per_point_renderer(self, table):
+        _assert_same_text(
+            render_figure_svg(table), _per_point_svg(table), "render", "per-point renderer"
+        )
