@@ -58,6 +58,8 @@ overflow: like Python floats, the kernels then give inf or nan without a
 warning (see quiet).
 """
 
+import contextvars
+import functools
 from operator import add
 
 import numpy as np
@@ -67,10 +69,37 @@ import numpy as np
 BACKEND = "numpy"
 
 
+# True while a quiet function runs in this context: its errstate is in
+# force, so a nested quiet call has nothing to set.  numpy 2 keeps the
+# errstate per context and numpy 1 per thread; a new thread starts with
+# the default of both.
+_QUIET = contextvars.ContextVar("taylorpde_quiet", default=False)
+
+
 def quiet(fn):
     """fn with numpy's overflow and invalid-value warnings off, so that
-    overflow gives inf or nan silently, as Python floats do."""
-    return np.errstate(over="ignore", invalid="ignore")(fn)
+    overflow gives inf or nan silently, as Python floats do.
+
+    The outermost quiet call enters np.errstate, once; the quiet calls it
+    makes, such as the kernel calls under RowEvaluator.advance, only
+    read a context flag that says it is in force.  The flag is reset
+    when that call ends, by return or raise, so a warning outside any
+    quiet call is numpy's again.  Code inside a quiet call that sets its
+    own errstate is not quieted again by the quiet calls it makes.
+    """
+
+    @functools.wraps(fn)
+    def quietly(*args, **kwargs):
+        if _QUIET.get():
+            return fn(*args, **kwargs)
+        token = _QUIET.set(True)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fn(*args, **kwargs)
+        finally:
+            _QUIET.reset(token)
+
+    return quietly
 
 
 def _nonzero(row):
@@ -240,7 +269,10 @@ class ProductState:
     def row(self, k: int) -> np.ndarray:
         """Row k of the product; rows 0..k must have been absorbed."""
         a, b = self.left, self.right
-        width = max(1, max(map(add, a.lengths[: k + 1], b.lengths[k::-1])) - 1)
+        # The pairs (i, k - i) that the row reads: of a square, whose pairs
+        # are mirrored, those of i <= k//2 only.
+        h = k // 2 if a is b else k
+        width = max(1, max(map(add, a.lengths[: h + 1], reversed(b.lengths[k - h : k + 1]))) - 1)
         # At least two columns: numpy sums one column pairwise.
         cols = max(width, 2)
         if a is b:

@@ -456,6 +456,21 @@ class RowEvaluator:
     gives.  A row is the same float sequence that the full truncated
     Cauchy product gives, whatever order is reached.
 
+    A sum or difference of a series x and a constant is folded past row
+    0 too.  There the constant's row is one signed zero t, and add_rows
+    and sub_rows change at most x's head, so what row j >= 1 is follows
+    from the sign of t, decided when the node is compiled: x's row j
+    itself for x + -0.0 (or -0.0 + x) and x - +0.0; a copy whose head
+    alone is x[0] + 0.0, which turns a -0.0 into +0.0, for x + +0.0 (or
+    +0.0 + x) and x - -0.0; np.negative of x's row for -0.0 - x; and
+    that negation with the head 0.0 - x[0] for +0.0 - x.  These are the
+    IEEE operations that add_rows and sub_rows perform, so no bit moves;
+    row 0 still goes through them, and so does every row of a constant
+    whose later rows are nan, as an inf constant times a zero gives.  A
+    node's rows can thus be the very arrays of another node's, or of the
+    state rows advance() was given.  That is safe because no stored row
+    is ever written in place: every row function makes a new array.
+
     advance() raises a ConfigError when it is given a row count other
     than the field count.  The kernels match the dense loops only on
     finite rows, so it raises a TaylorPdeError naming the order and field
@@ -468,7 +483,8 @@ class RowEvaluator:
     def __init__(self, system: PdeSystem):
         self._subjects = tuple(f"field {f}" for f in system.fields)
         self._state: list[list[np.ndarray]] = [[] for _ in system.fields]
-        self._steps: list[Callable[[int], None]] = []  # operands first
+        # (rows.append, row) of every node, operands first: row(j) is its row j.
+        self._steps: list[tuple[Callable, Callable[[int], np.ndarray]]] = []
         # Keyed by operation and the ids of the operands' row lists, which
         # live as long as the evaluator, so an id is never reused.  Not
         # keyed by the tree nodes: hashing one recurses through its subtree.
@@ -486,11 +502,13 @@ class RowEvaluator:
             raise ConfigError(
                 f"system has {len(self._state)} fields but state has {len(row)} entries"
             )
-        check_finite(self._subjects, j, row)
+        # One pass over every row; the per-row pass only finds the culprit.
+        if not np.isfinite(np.concatenate(row)).all():
+            check_finite(self._subjects, j, row)
         for rows, p in zip(self._state, row):
             rows.append(p)
-        for step in self._steps:
-            step(j)
+        for append, make in self._steps:
+            append(make(j))
         self._order += 1
         return tuple(rows[j] for rows in self._roots)
 
@@ -516,9 +534,9 @@ class RowEvaluator:
                 rows = self._node(("dx", id(rows)), lambda j, a=rows: dx_row(a[j]))
             return rows
         if isinstance(node, Add):
-            return self._pointwise("+", add_rows, operands)
+            return self._sum("+", *operands)
         if isinstance(node, Sub):
-            return self._pointwise("-", sub_rows, operands)
+            return self._sum("-", *operands)
         if isinstance(node, Mul):
             return self._product(*operands)
         if isinstance(node, Neg):
@@ -537,7 +555,7 @@ class RowEvaluator:
         rows = self._nodes.get(key)
         if rows is None:
             rows = self._nodes[key] = []
-            self._steps.append(lambda j: rows.append(row(j)))
+            self._steps.append((rows.append, row))
         return rows
 
     def _constant(self, key: tuple, head: np.ndarray, tail: np.ndarray) -> list[np.ndarray]:
@@ -557,6 +575,26 @@ class RowEvaluator:
             return self._constant(key, *(row_op(*rows) for rows in zip(*constants)))
         return self._node(key, lambda j: row_op(*[rows[j] for rows in operands]))
 
+    def _sum(self, tag: str, a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+        """The node a + b (tag "+") or a - b (tag "-"): add_rows or
+        sub_rows of the operands' rows, folded past row 0 when exactly one
+        operand is a constant (see the class docstring)."""
+        row_op = add_rows if tag == "+" else sub_rows
+        ca = self._constants.get(id(a))
+        cb = self._constants.get(id(b))
+        if (ca is None) == (cb is None):
+            return self._pointwise(tag, row_op, [a, b])
+        x, (_, tail) = (b, ca) if ca is not None else (a, cb)
+        if tail[0] != 0.0:  # nan, where an inf constant scaled a zero
+            return self._pointwise(tag, row_op, [a, b])
+        positive = not np.signbit(tail[0])
+        if tag == "-" and x is b:  # t - x
+            fold = _zero_minus if positive else np.negative
+        else:  # x + t, t + x or x - t, whose -t has the other sign
+            fold = _plus_zero if positive == (tag == "+") else _same
+        key = (tag, id(a), id(b))
+        return self._node(key, lambda j: row_op(a[0], b[0]) if j == 0 else fold(x[j]))
+
     def _product(self, a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
         key = ("*", id(a), id(b))
         ca = self._constants.get(id(a))
@@ -575,6 +613,24 @@ class RowEvaluator:
         return self._node(
             key, lambda j: trim(_backend.series_product(a, b, j, start=j, nonzero=state)[0])
         )
+
+
+def _same(row: np.ndarray) -> np.ndarray:
+    return row
+
+
+def _plus_zero(row: np.ndarray) -> np.ndarray:
+    """row + [+0.0], as add_rows gives it: the head alone is row[0] + 0.0."""
+    out = row.copy()
+    out[0] = row[0] + 0.0
+    return out
+
+
+def _zero_minus(row: np.ndarray) -> np.ndarray:
+    """[+0.0] - row, as sub_rows gives it: -row with the head 0.0 - row[0]."""
+    out = np.negative(row)
+    out[0] = 0.0 - row[0]
+    return out
 
 
 def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tuple[TimeSeries, ...]:

@@ -378,7 +378,10 @@ def render_figure_svg(table: Table) -> str:
     their polyline instead of being clamped, so divergence shows as a
     curve running off the frame.  The t axis runs from the first t to the
     last, so a table whose first and last t are equal (or that has fewer
-    than two rows) raises ConfigError.
+    than two rows) raises ConfigError.  The y band is padded around the
+    finite values of the exact column, so a nan or inf there is left out
+    of the band and of the curve wherever it sits; an exact column
+    without a finite value raises ConfigError.
     """
     meta = dict(table.meta)
     width, height = 720.0, 480.0
@@ -388,7 +391,12 @@ def render_figure_svg(table: Table) -> str:
     if len(ts) < 2 or ts[0] == ts[-1]:
         raise ConfigError("a figure needs a t column whose first and last values differ")
     t_lo, t_hi = ts[0], ts[-1]
-    y_lo, y_hi = min(exact), max(exact)
+    # The band spans the finite exact values, wherever a nan or inf sits.
+    finite = np.asarray(exact, dtype=float)
+    finite = finite[np.isfinite(finite)]
+    if not len(finite):
+        raise ConfigError("a figure needs a finite value in its exact column")
+    y_lo, y_hi = float(finite.min()), float(finite.max())
     pad = 0.6 * (y_hi - y_lo) if y_hi > y_lo else 1.0
     y_lo -= pad
     y_hi += pad

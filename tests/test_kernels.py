@@ -4,6 +4,7 @@ the reference, on rows that mix 0.0 and -0.0 with finite floats.
 Known-value checks run on both, so the reference is checked too."""
 
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -380,3 +381,67 @@ def test_factor_windows_are_the_sliding_window_view(monkeypatch):
     assert len(factors) == 2 and len(checked) == 2 * 20
     for f in factors:
         assert len({shape for g, shape in checked if g is f}) >= 3
+
+
+@pytest.mark.parametrize(
+    "overflow",
+    [
+        lambda: _backend.series_product([[1e200]], [[1e200]], 0),
+        lambda: _backend.conv([1e200, 1e200], [1e200]),
+    ],
+    ids=["series_product", "conv"],
+)
+def test_a_direct_kernel_call_overflows_silently(overflow):
+    # Warnings are errors in this suite, so a warning would fail here.
+    assert np.isinf(overflow()[0]).all()
+
+
+def test_a_quiet_call_that_raises_leaves_warnings_on():
+    @_backend.quiet
+    def overflow_then_raise():
+        np.array([1e200]) * 1e200
+        raise ValueError("from inside")
+
+    with pytest.raises(ValueError, match="^from inside$"):
+        overflow_then_raise()
+    # The context flag was reset: outside any quiet call numpy warns again,
+    # and a quiet call after it is quiet again.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.array([1e200]) * 1e200
+    assert np.isinf(_backend.series_product([[1e200]], [[1e200]], 0)[0]).all()
+
+
+def test_a_thread_started_inside_a_quiet_call_is_quiet_on_its_own():
+    # A new thread starts with the default context and numpy errstate, so
+    # its kernel call enters its own errstate; a warning there would be an
+    # error raised in the thread, and no row.
+    rows = []
+
+    @_backend.quiet
+    def start_thread():
+        worker = threading.Thread(
+            target=lambda: rows.extend(_backend.series_product([[1e200]], [[1e200]], 0))
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+
+    start_thread()
+    assert len(rows) == 1 and np.isinf(rows[0]).all()
+
+
+def test_a_solve_enters_errstate_once_per_order(monkeypatch):
+    # Once to build the evaluator, then once per advance(); the three
+    # kernel calls per order inside it enter none, where each of them
+    # entered its own before.
+    errstate = np.errstate
+    entered = []
+
+    def counting(*args, **kwargs):
+        entered.append(kwargs)
+        return errstate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    coupled = FIXTURES["coupled"]
+    solve(coupled.system, coupled.initial, 10)
+    assert entered == [{"over": "ignore", "invalid": "ignore"}] * (1 + 10)

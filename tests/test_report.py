@@ -705,7 +705,8 @@ def _per_point_svg(table):
 
     ts, exact = table.cells[0], table.cells[1]
     t_lo, t_hi = ts[0], ts[-1]
-    y_lo, y_hi = min(exact), max(exact)
+    finite = [v for v in exact if math.isfinite(v)]
+    y_lo, y_hi = min(finite), max(finite)
     pad = 0.6 * (y_hi - y_lo) if y_hi > y_lo else 1.0
     y_lo -= pad
     y_hi += pad
@@ -822,6 +823,9 @@ def _figure_tables(draw):
     return Table(columns, tuple(cells), meta)
 
 
+_NO_FINITE = "a figure needs a finite value in its exact column"
+
+
 class TestSvg:
     def test_document_shape(self, figure_svg):
         assert figure_svg.startswith("<svg ")
@@ -855,6 +859,32 @@ class TestSvg:
 
     @given(_figure_tables())
     def test_matches_per_point_renderer(self, table):
+        if not any(map(math.isfinite, table.cells[1])):
+            with pytest.raises(ConfigError, match=f"^{_NO_FINITE}$"):
+                render_figure_svg(table)
+            return
         _assert_same_text(
             render_figure_svg(table), _per_point_svg(table), "render", "per-point renderer"
         )
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_non_finite_exact_value_leaves_the_band_alone(self, first, bad):
+        # The band is that of the finite values, 1 and 2, wherever the bad
+        # value sits: the same ticks as without it, and no nan or inf text.
+        ts = (0.0, 0.25, 0.5, 0.75, 1.0)
+        exact = (bad, 1.0, 1.5, 2.0, 1.5) if first else (1.0, 1.5, bad, 2.0, 1.5)
+        svg = render_figure_svg(Table(("t", "exact"), (ts, exact)))
+        plain = render_figure_svg(Table(("t", "exact"), (ts, (1.0, 1.5, 1.5, 2.0, 1.5))))
+        ticks = re.compile(r'text-anchor="end">([^<]*)<')
+        band = ["0.40", "0.95", "1.50", "2.05", "2.60"]
+        assert ticks.findall(svg) == ticks.findall(plain) == band
+        assert "nan" not in svg and "inf" not in svg
+        # The bad sample is left out of the curve: one polyline after it in
+        # first place, two around it in the middle.
+        assert svg.count("<polyline") == (1 if first else 2)
+
+    @pytest.mark.parametrize("exact", [(math.nan, math.nan), (math.inf, -math.inf)])
+    def test_refuses_an_exact_column_without_a_finite_value(self, exact):
+        with pytest.raises(ConfigError, match=f"^{_NO_FINITE}$"):
+            render_figure_svg(Table(("t", "exact"), ((0.0, 1.0), exact)))

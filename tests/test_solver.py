@@ -463,6 +463,25 @@ _SYSTEMS["constant-product"] = (
     [TanhPoly([0, 1, 0, -0.25])],
     15,
 )
+# Sums and differences of a series and a constant, which past row 0 fold
+# into the series' row, its negation or either with the head recomputed,
+# by the sign of the constant's later rows: +0.0 for 1 and (1 - 1), -0.0
+# for -(1 - 1).  The series is -v, whose head is a signed zero that
+# alternates between -0.0 and +0.0 from row to row (v' = -v from a +0.0
+# head), so a fold that passes either zero through where add_rows or
+# sub_rows gives the other changes a bit.  Aliasing x - c for -(1 - 1),
+# whose x - -0.0 turns a -0.0 head into +0.0, is such a fold.
+_TAIL_FORMS = ("-v - {c}", "-v + {c}", "{c} - -v", "{c} + -v")
+_TAIL_CONSTANTS = ("1", "(1 - 1)", "-(1 - 1)")
+_TAIL_EQUATIONS = ["v' = -v"] + [
+    f"f{i}' = " + form.format(c=c)
+    for i, (form, c) in enumerate((form, c) for form in _TAIL_FORMS for c in _TAIL_CONSTANTS)
+]
+_SYSTEMS["constant-tails"] = (
+    parse_system("\n".join(_TAIL_EQUATIONS)),
+    [TanhPoly([0, 1, 0, -0.25])] * len(_TAIL_EQUATIONS),
+    15,
+)
 # Rows whose top coefficient becomes zero: 5e-324 / 2 underflows in the
 # division of row 2 of u, 5e-324 * 1e-300 in a scale, and u + -u and
 # u - u cancel.  Each such row must lose its trailing zero, as a TanhPoly
@@ -492,6 +511,7 @@ _PRODUCTS_PER_ORDER = {
     "constants": 1,
     "constant-sums": 0,
     "constant-product": 0,
+    "constant-tails": 0,
     "trailing-zeros": 0,
 }
 
@@ -618,3 +638,23 @@ def test_trivial_power_and_derivative_are_the_field(node):
     system = PdeSystem(("u",), (node,))
     state = (TimeSeries([TanhPoly([0, 1]), TanhPoly([2, 0, -1])]),)
     assert eval_rhs(system, state, 1) == state
+
+
+def test_differences_with_a_constant_call_sub_rows_at_row_0_only(coupled, monkeypatch):
+    # Each of coupled's six differences has a constant operand, whose rows
+    # past row 0 are +0.0: from row 1 on it is a fold of the other
+    # operand's row, so solve and residual call sub_rows once per
+    # difference, for row 0.
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return sub_rows(a, b)
+
+    # The evaluator takes sub_rows from dsl when it compiles a difference.
+    monkeypatch.setattr(dsl, "sub_rows", recording)
+    sol = solve(coupled.system, coupled.initial, 12)
+    assert len(calls) == 6
+    calls.clear()
+    assert residual(coupled.system, sol) == 0.0
+    assert len(calls) == 6
