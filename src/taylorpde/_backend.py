@@ -39,18 +39,18 @@ adding terms in increasing i, then p):
   to +0.0 (tests/test_kernels.py pins this).  A one-column block is
   summed pairwise instead, in another order, so blocks are always
   gathered at least two columns wide and the extra column is dropped.
-- A square (a is b) gathers only its terms a[i][p] for i <= k//2, in
-  (i, p) order over the windows of rows k - i, and sums them.  Term
-  (i, p) at column c is a[i][p] * a[k-i][c-p], the very product of the
-  pair (k - i, c - p), so the pairs i > k//2 are the block's rows of
-  i <= k - k//2 - 1, a prefix, taken in descending (i, p) order:
-  ascending k - i and, within a column, ascending c - p, as above.  The
-  kernel reduces that prefix through a reversed view, whose first row
-  first adds the forward column sums.  numpy reduces a view with a
-  negative row stride in the view's order, not in memory order
-  (tests/test_kernels.py pins this too), so each column is again one
-  sequential sum in the dense order.  When rows 0..k//2 hold no nonzero
-  term, every pair has a zero factor and the row is +0.0s.
+- A square (a is b) is the same split at m = k//2, whose second block
+  needs no gather.  The right factor's terms are the left's, so the
+  terms of rows 0..k-k//2-1 over the windows of rows k..k//2+1 are a
+  prefix of the first block, its rows for those terms: term (i, p) at
+  column c is a[i][p] * a[k-i][c-p], the very product of the pair
+  (k - i, c - p).  The kernel reduces that prefix through a reversed
+  view, whose first row first adds the forward column sums.  numpy
+  reduces a view with a negative row stride in the view's order, not
+  in memory order (tests/test_kernels.py pins this too), so each column
+  is again one sequential sum in the dense order.  When rows 0..k//2
+  hold no nonzero term, every pair has a zero factor and the row is
+  +0.0s.
 
 A zero times inf or nan is nan, so the inputs must be finite;
 solver.solve checks every row it produces.  Finite inputs can still
@@ -227,15 +227,15 @@ class ProductState:
 
     Rows are absorbed in order, once each, into one _Factor per distinct
     factor, left and right: a square (a and b the same list) keeps one.
-    Row k is the sum over i of a[i] * b[k - i].  For two lists it is
-    split at split(k) = m: the terms of a's rows 0..m times b's shifted
-    rows, then the terms of b's rows 0..k-m-1, in descending (r, q)
-    order, times a's shifted rows.  A square gathers one block, the
-    terms of rows 0..k//2 times the shifted rows k..k-k//2, and sums it
-    forward and then, through a reversed view of its rows 0..k-k//2-1,
-    for the mirrored pairs (see the module docstring).  Each block has
-    one row per nonzero term it takes, so a pair is skipped when the
-    factor that supplies its term holds an exact zero there.
+    Row k is the sum over i of a[i] * b[k - i], split at m: the terms
+    of a's rows 0..m times b's shifted rows, then the terms of b's rows
+    0..k-m-1, in descending (r, q) order, times a's shifted rows.  Two
+    lists split at split(k) and gather both blocks, one alive at a time.
+    A square splits at k//2 and reads its own block: its second block
+    is the first block's rows of the terms of rows 0..k-k//2-1, read
+    backwards (see the module docstring).  Each block has one row per
+    nonzero term it takes, so a pair is skipped when the factor that
+    supplies its term holds an exact zero there.
     """
 
     def __init__(self):
@@ -262,8 +262,8 @@ class ProductState:
     def split(self, k: int) -> int:
         """The m in -1..k, the first if several, whose blocks for row k are
         shortest: left terms of rows 0..m plus right terms of rows
-        0..k-1-m.  Only a product of two lists splits; a square does not
-        call it."""
+        0..k-1-m.  A square, whose second block is free, splits at k//2
+        instead."""
         return int((self.left.ends[: k + 2] + self.right.ends[k + 1 :: -1]).argmin()) - 1
 
     def row(self, k: int) -> np.ndarray:
@@ -275,36 +275,21 @@ class ProductState:
         width = max(1, max(map(add, a.lengths[: h + 1], reversed(b.lengths[k - h : k + 1]))) - 1)
         # At least two columns: numpy sums one column pairwise.
         cols = max(width, 2)
-        if a is b:
-            return self._square_row(k, width, cols)
-        m = self.split(k)
-        acc = None
-        n = a.ends[m + 1]
-        if n:
-            acc = _column_sums(b.block(k, a.rows[:n], a.powers[:n], a.values[:n], cols))
+        m = h if a is b else self.split(k)
+        rows, powers, values = a.terms(m)
+        block = b.block(k, rows, powers, values, cols) if len(rows) else None
+        acc = None if block is None else _column_sums(block)
         n = b.ends[k - m]
         if n:
-            back = slice(n - 1, None, -1)
-            block = a.block(k, b.rows[back], b.powers[back], b.values[back], cols)
+            if a is b:
+                block = block[n - 1 :: -1]
+            else:
+                block = None  # one block alive at a time (see _Factor.block)
+                rows, powers, values = b.terms(k - m - 1)
+                block = a.block(k, rows[::-1], powers[::-1], values[::-1], cols)
             acc = _column_sums(block, acc)
         if acc is None:
             return np.zeros(width)
-        return acc[:width]
-
-    def _square_row(self, k: int, width: int, cols: int) -> np.ndarray:
-        """Row k of a square: one block of the terms of rows 0..k//2,
-        summed forward for the pairs i <= k//2 and then, over its prefix
-        of rows 0..k-k//2-1 reversed, for the mirrored pairs i > k//2."""
-        a = self.left
-        h = k // 2
-        rows, powers, values = a.terms(h)
-        if not len(rows):
-            return np.zeros(width)
-        block = a.block(k, rows, powers, values, cols)
-        acc = _column_sums(block)
-        n = a.ends[k - h]
-        if n:
-            acc = _column_sums(block[n - 1 :: -1], acc)
         return acc[:width]
 
 

@@ -26,6 +26,7 @@ are ordered by the appearance of their defining equations.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -440,7 +441,9 @@ class RowEvaluator:
     once, from its factor's rows up to half the order, and reuses each
     product for the mirrored pair.  Either skips a pair when the factor
     that supplies its term holds an exact zero there; that is not always
-    the left factor.
+    the left factor.  Only the nodes that a root reads are computed: in
+    0 * (u*u), the zero constant discards the product, which then costs
+    no kernel call.
 
     Constants are folded through the same row functions.  A constant is
     two rows, row 0 and the row of every later order.  A sum, difference
@@ -457,19 +460,18 @@ class RowEvaluator:
     Cauchy product gives, whatever order is reached.
 
     A sum or difference of a series x and a constant is folded past row
-    0 too.  There the constant's row is one signed zero t, and add_rows
-    and sub_rows change at most x's head, so what row j >= 1 is follows
-    from the sign of t, decided when the node is compiled: x's row j
-    itself for x + -0.0 (or -0.0 + x) and x - +0.0; a copy whose head
-    alone is x[0] + 0.0, which turns a -0.0 into +0.0, for x + +0.0 (or
-    +0.0 + x) and x - -0.0; np.negative of x's row for -0.0 - x; and
-    that negation with the head 0.0 - x[0] for +0.0 - x.  These are the
-    IEEE operations that add_rows and sub_rows perform, so no bit moves;
-    row 0 still goes through them, and so does every row of a constant
-    whose later rows are nan, as an inf constant times a zero gives.  A
-    node's rows can thus be the very arrays of another node's, or of the
-    state rows advance() was given.  That is safe because no stored row
-    is ever written in place: every row function makes a new array.
+    0 too.  There the constant's row is one entry t, +0.0, -0.0 or nan
+    (an inf constant times a zero), and add_rows and sub_rows change only
+    x's head: row j >= 1 is x's row j, negated for t - x, with the head
+    x[0] + t, x[0] - t or t - x[0].  These are the IEEE operations that
+    add_rows and sub_rows perform, so no bit moves (but which nan a
+    head of two nans keeps, which numpy's own loops do not fix either);
+    row 0 still goes through them.  Where the head operation is the
+    identity bit for bit, x + -0.0, -0.0 + x and x - +0.0 (coupled's
+    u - 1), the node holds x's own rows.  A node's rows can thus be the
+    very arrays of another node's, or of the state rows advance() was
+    given.  That is safe because no stored row is ever written in place:
+    every row function makes a new array.
 
     advance() raises a ConfigError when it is given a row count other
     than the field count.  The kernels match the dense loops only on
@@ -493,7 +495,21 @@ class RowEvaluator:
         # by the id of its rows.
         self._constants: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._roots = tuple(_fold(eq, self._compile) for eq in system.equations)
+        self._prune()
         self._order = 0
+
+    def _prune(self) -> None:
+        """Drop the steps of nodes that no root reads, walking back from the
+        roots: a node's key holds the ids of the rows it reads (a literal's
+        holds its value), and its operands were registered before it."""
+        live = set(map(id, self._roots))
+        steps = []
+        for (key, rows), step in zip(reversed(self._nodes.items()), reversed(self._steps)):
+            if id(rows) in live:
+                steps.append(step)
+                if key[0] != "c":
+                    live.update(key[1:])
+        self._steps = steps[::-1]
 
     @_backend.quiet
     def advance(self, row: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -585,14 +601,19 @@ class RowEvaluator:
         if (ca is None) == (cb is None):
             return self._pointwise(tag, row_op, [a, b])
         x, (_, tail) = (b, ca) if ca is not None else (a, cb)
-        if tail[0] != 0.0:  # nan, where an inf constant scaled a zero
-            return self._pointwise(tag, row_op, [a, b])
-        positive = not np.signbit(tail[0])
-        if tag == "-" and x is b:  # t - x
-            fold = _zero_minus if positive else np.negative
-        else:  # x + t, t + x or x - t, whose -t has the other sign
-            fold = _plus_zero if positive == (tag == "+") else _same
+        t = tail[0].item()
+        negate = tag == "-" and x is b  # t - x
         key = (tag, id(a), id(b))
+        # x + -0.0, -0.0 + x and x - +0.0 leave every head as it is.
+        if not negate and t == 0.0 and np.signbit(t) == (tag == "+"):
+            return self._node(key, lambda j: row_op(a[0], b[0]) if j == 0 else x[j])
+        head = operator.add if tag == "+" else operator.sub
+
+        def fold(row: np.ndarray) -> np.ndarray:
+            out = np.negative(row) if negate else row.copy()
+            out[0] = head(t, row[0]) if negate else head(row[0], t)
+            return out
+
         return self._node(key, lambda j: row_op(a[0], b[0]) if j == 0 else fold(x[j]))
 
     def _product(self, a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
@@ -613,24 +634,6 @@ class RowEvaluator:
         return self._node(
             key, lambda j: trim(_backend.series_product(a, b, j, start=j, nonzero=state)[0])
         )
-
-
-def _same(row: np.ndarray) -> np.ndarray:
-    return row
-
-
-def _plus_zero(row: np.ndarray) -> np.ndarray:
-    """row + [+0.0], as add_rows gives it: the head alone is row[0] + 0.0."""
-    out = row.copy()
-    out[0] = row[0] + 0.0
-    return out
-
-
-def _zero_minus(row: np.ndarray) -> np.ndarray:
-    """[+0.0] - row, as sub_rows gives it: -row with the head 0.0 - row[0]."""
-    out = np.negative(row)
-    out[0] = 0.0 - row[0]
-    return out
 
 
 def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tuple[TimeSeries, ...]:

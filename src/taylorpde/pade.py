@@ -10,6 +10,7 @@ estimate for the function being approximated.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -79,7 +80,8 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
     from the Toeplitz system that cancels series orders num_order+1 ..
     num_order+den_order; a singular or ill-conditioned system (condition
     number above 1e12) raises DegenerateSystemError rather than returning
-    digits the data cannot support.
+    digits the data cannot support, and so does an inf or nan among the
+    coefficients it uses.
     """
     c = [float(v) for v in coeffs]
     L = num_order
@@ -92,6 +94,10 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
         raise InsufficientDataError(
             f"[{L}/{M}] fit needs {L + M + 1} coefficients, got {len(c)}"
         )
+    used = c[: L + M + 1]
+    if not all(map(math.isfinite, used)):
+        k = next(k for k, v in enumerate(used) if not math.isfinite(v))
+        raise DegenerateSystemError(f"[{L}/{M}] fit: coefficient {k} is {used[k]!r}")
     if M == 0:
         # Degenerate rational: the truncated series itself.
         return PadeApproximant(tuple(c[: L + 1]), (1.0,), 1.0)

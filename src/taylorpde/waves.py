@@ -112,13 +112,17 @@ def empirical_radius(coeffs: Sequence[float]) -> float:
     The constant term c_0 is ignored (an offset shifts no pole), and
     sparsity (every-other-order zeros) is handled by the per-pair root.
 
-    Raises InsufficientDataError for fewer than 9 coefficients, fewer than
-    three usable ratios, or a non-positive extrapolated limit.
+    Raises InsufficientDataError for fewer than 9 coefficients, an inf or
+    nan coefficient, fewer than three usable ratios, or a non-positive
+    extrapolated limit.
     """
     c = [float(v) for v in coeffs]
     n = len(c) - 1
     if n < 8:
         raise InsufficientDataError(f"radius estimation needs order >= 8, got {n}")
+    for k, v in enumerate(c):
+        if not math.isfinite(v):
+            raise InsufficientDataError(f"coefficient {k} is {v!r}, not a finite number")
     nonzero = []
     for j in range(1, n + 1):
         lo = max(1, j - 2)

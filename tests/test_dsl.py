@@ -15,6 +15,7 @@ from taylorpde import (
     pretty,
 )
 from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, Pow, RowEvaluator, Sub
+from taylorpde.series import add_rows, sub_rows
 
 
 def rhs_of(text):
@@ -245,3 +246,22 @@ class TestRowEvaluator:
         message = f"^system has 2 fields but state has {len(rows)} entries$"
         with pytest.raises(ConfigError, match=message):
             evaluator.advance([np.array(r) for r in rows])
+
+    @pytest.mark.parametrize("form", ["u + {c}", "{c} + u", "u - {c}", "{c} - u"])
+    def test_sum_with_a_constant_whose_later_rows_are_nan(self, form):
+        # 10^200 * 10^200 is inf, and inf times the 2's zero later rows is
+        # nan: a constant whose row 0 is inf and every later row nan.  Its
+        # sum or difference with u is add_rows or sub_rows of their rows,
+        # bit for bit, whatever the fold does past row 0.
+        big = "1" + "0" * 200
+        c = f"({big} * {big} * 2)"
+        evaluator = RowEvaluator(parse_system(f"u' = {c}\nv' = " + form.format(c=c)))
+        # Heads of both signs of zero; a row as long as the constant's.
+        u = [np.array([0.5, 1.0, -0.0, -0.25]), np.array([-0.0]), np.array([0.0, 3.0])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, row in enumerate(u):
+                constant, value = evaluator.advance([row, row])
+                assert np.isinf(constant).all() if j == 0 else np.isnan(constant).all()
+                a, b = (row, constant) if form.startswith("u") else (constant, row)
+                expected = add_rows(a, b) if "+" in form else sub_rows(a, b)
+                assert value.tobytes() == expected.tobytes()

@@ -69,6 +69,24 @@ class TestFit:
         with pytest.raises(DegenerateSystemError):
             pade_fit(coeffs, 1, 2)
 
+    @pytest.mark.parametrize("index", [0, 7, 15])
+    def test_refuses_a_used_coefficient_that_is_not_finite(self, index):
+        # A nan used to reach numpy's SVD, which raised LinAlgError.
+        coeffs = KINK.taylor(0.0, 15)
+        coeffs[index] = math.nan
+        message = f"^\\[7/8\\] fit: coefficient {index} is nan$"
+        with pytest.raises(DegenerateSystemError, match=message):
+            pade_fit(coeffs, 7, 8)
+
+    def test_refuses_an_inf_in_a_truncation(self):
+        # M = 0 builds no system, and used to return num=(inf, 1.0).
+        with pytest.raises(DegenerateSystemError, match="^\\[1/0\\] fit: coefficient 0 is inf$"):
+            pade_fit([math.inf, 1.0], 1, 0)
+
+    def test_ignores_coefficients_past_the_fit(self):
+        coeffs = KINK.taylor(0.0, 15)
+        assert pade_fit(coeffs + [math.nan], 7, 8) == pade_fit(coeffs, 7, 8)
+
     def test_condition_number_recorded(self):
         ap = pade_fit(EXP3, 1, 1)
         assert ap.condition == 1.0  # 1x1 system

@@ -496,6 +496,9 @@ _SYSTEMS["trailing-zeros"] = (
     [TanhPoly([1, 5e-324]), TanhPoly([0, -0.0, 1])] + [TanhPoly([0])] * 4,
     4,
 )
+# Products that nothing reads: the zero on the left discards u*u*u, so no
+# row of it is computed.
+_SYSTEMS["discarded"] = (parse_system("u' = 0 * (u*u*u) + u"), [TanhPoly([0, 1, 0, -0.25])], 10)
 # series_product calls per order: one per distinct product of two series,
 # where u^k is the product of u^(k-1) and u; a product with a constant
 # factor is a row scale, no kernel call.
@@ -513,6 +516,7 @@ _PRODUCTS_PER_ORDER = {
     "constant-product": 0,
     "constant-tails": 0,
     "trailing-zeros": 0,
+    "discarded": 0,
 }
 
 

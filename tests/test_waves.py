@@ -142,3 +142,17 @@ class TestEmpiricalRadius:
     def test_too_few_nonzero(self):
         with pytest.raises(InsufficientDataError):
             empirical_radius([1.0, 2.0] + [0.0] * 10)
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(10, math.inf), (10, math.nan), (20, math.nan)],
+        ids=["inf", "nan", "last-nan"],
+    )
+    def test_refuses_a_coefficient_that_is_not_finite(self, index, value):
+        # The sparsity filter would read a nan as a zero, and an inf would
+        # blank out its neighbours: both gave a radius, as if measured.
+        coeffs = builtin_waves()[0].taylor(0.0, 20)
+        coeffs[index] = value
+        message = f"^coefficient {index} is {value!r}, not a finite number$"
+        with pytest.raises(InsufficientDataError, match=message):
+            empirical_radius(coeffs)
