@@ -102,11 +102,11 @@ def quiet(fn):
     return quietly
 
 
-def _nonzero(row):
-    """(indices, values) of the coefficients of a row that are not zero."""
-    values = np.asarray(row, dtype=float)
-    index = values.nonzero()[0]
-    return index, values[index]
+def _nonzero(rows: np.ndarray):
+    """((indices per axis), values) of the coefficients of a row, or of a
+    2-D array of rows, that are not zero, in C order."""
+    index = rows.nonzero()
+    return index, rows[index]
 
 
 @quiet
@@ -149,8 +149,10 @@ class _Factor:
     pad..pad+len-1, with at least as many zeros to their left as the
     highest power of the other factor and room for the widest product row
     to their right; window[r, pad - q] is then row r shifted right by q.
-    When a row does not fit, the array and its window view are rebuilt
-    with twice the room that the rows so far need.
+    When rows do not fit, the array and its window view are rebuilt,
+    never smaller than before: with twice the room that the rows so far
+    need when one row comes in, so that a solve rebuilds once per
+    doubling, and with the room they need when a batch does.
     """
 
     def __init__(self):
@@ -169,37 +171,52 @@ class _Factor:
         n = self.ends[k + 1]
         return self.rows[:n], self.powers[:n], self.values[:n]
 
-    def take(self, row, shift: int, need: int) -> None:
-        """Append the next row, which `longest` already counts.  The padded
-        array keeps at least `shift` zeros left of every row and windows
-        `need` columns wide; ends has a slot for each of its rows."""
+    def take(self, rows, shift: int, need: int) -> None:
+        """Append the next rows, which `longest` already counts, and their
+        nonzero terms, found by one scan of them all.  The padded array
+        keeps at least `shift` zeros left of every row and windows `need`
+        columns wide; ends has a slot for each of its rows."""
         j = len(self.lengths)
-        self.lengths.append(len(row))
-        powers, values = _nonzero(row)
-        n = self.ends[j]
+        end = j + len(rows)
+        one = end == j + 1
+        pad = self.pad
+        cap, cols = self.padded.shape
+        if end > cap or shift > pad or need > cols - pad:
+            grow = 2 if one else 1
+            new_pad = max(pad, grow * shift)
+            new_width = max(cols - pad, grow * need)
+            padded = np.zeros((max(cap, grow * end), new_pad + new_width))
+            padded[:cap, new_pad : new_pad + cols - pad] = self.padded[:, pad:]
+            self.padded = padded
+            self.window = _windows(padded, new_width)
+            self.pad = pad = new_pad
+            self.ends = np.concatenate((self.ends[: j + 1], np.empty(len(padded) - j, np.intp)))
+        for i, row in enumerate(rows, j):
+            self.padded[i, pad : pad + len(row)] = row
+            self.lengths.append(len(row))
+        n = int(self.ends[j])
+        if one:
+            # A solve's one row per order: a 1-D scan costs less than the
+            # 2-D scan of a block, and a solve takes one row per product
+            # factor at every order.
+            (powers,), values = _nonzero(self.padded[j, pad : pad + self.lengths[j]])
+            index = j
+            ends = n + len(powers)
+        else:
+            block = self.padded[j:end, pad : pad + max(self.lengths[j:])]
+            (index, powers), values = _nonzero(block)
+            ends = n + np.bincount(index, minlength=end - j).cumsum()
+            index += j
         m = n + len(powers)
         if m > len(self.values):
             self.rows, self.powers, self.values = (
                 np.concatenate((buf[:n], np.empty(max(m, 2 * n), buf.dtype)))
                 for buf in (self.rows, self.powers, self.values)
             )
-        self.rows[n:m] = j
+        self.rows[n:m] = index
         self.powers[n:m] = powers
         self.values[n:m] = values
-
-        pad = self.pad
-        cap, cols = self.padded.shape
-        if j >= cap or shift > pad or need > cols - pad:
-            new_pad = 2 * shift
-            new_width = 2 * max(need, 1)
-            padded = np.zeros((2 * (j + 1), new_pad + new_width))
-            padded[:cap, new_pad : new_pad + cols - pad] = self.padded[:, pad:]
-            self.padded = padded
-            self.window = _windows(padded, new_width)
-            self.pad = pad = new_pad
-            self.ends = np.concatenate((self.ends[: j + 1], np.empty(len(padded) - j, np.intp)))
-        self.ends[j + 1] = m
-        self.padded[j, pad : pad + len(row)] = row
+        self.ends[j + 1 : end + 1] = ends
 
     def block(self, k: int, rows, powers, values, cols: int) -> np.ndarray:
         """The gathered (terms x cols) block whose row t is values[t] times
@@ -227,6 +244,7 @@ class ProductState:
 
     Rows are absorbed in order, once each, into one _Factor per distinct
     factor, left and right: a square (a and b the same list) keeps one.
+    A call takes in all of its new rows of a factor in one batch.
     Row k is the sum over i of a[i] * b[k - i], split at m: the terms
     of a's rows 0..m times b's shifted rows, then the terms of b's rows
     0..k-m-1, in descending (r, q) order, times a's shifted rows.  Two
@@ -244,20 +262,25 @@ class ProductState:
 
     def absorb(self, a, b, order: int) -> None:
         """Take in rows absorbed..order of factors a and b, the same two
-        lists on every call."""
+        lists on every call, in one take per factor."""
         if self.left is None:
             self.left = _Factor()
             self.right = self.left if a is b else _Factor()
+        start = self.absorbed
+        if order < start:
+            return
         left, right = self.left, self.right
-        for j in range(self.absorbed, order + 1):
-            row_a, row_b = a[j], b[j]
-            left.longest = max(left.longest, len(row_a))
-            right.longest = max(right.longest, len(row_b))
+        rows_a = a[start : order + 1]
+        left.longest = max(left.longest, max(map(len, rows_a)))
+        if right is left:
+            left.take(rows_a, left.longest - 1, 2 * left.longest - 1)
+        else:
+            rows_b = b[start : order + 1]
+            right.longest = max(right.longest, max(map(len, rows_b)))
             need = left.longest + right.longest - 1
-            left.take(row_a, right.longest - 1, need)
-            if right is not left:
-                right.take(row_b, left.longest - 1, need)
-        self.absorbed = max(self.absorbed, order + 1)
+            left.take(rows_a, right.longest - 1, need)
+            right.take(rows_b, left.longest - 1, need)
+        self.absorbed = order + 1
 
     def split(self, k: int) -> int:
         """The m in -1..k, the first if several, whose blocks for row k are
@@ -307,7 +330,9 @@ def series_product(a, b, order, start=0, nonzero=None):
     nonzero, if given, is the ProductState of earlier calls on the same
     a and b.  A caller that extends a and b one order at a time keeps it,
     so each factor row is absorbed once instead of once per call; without
-    it a fresh state absorbs rows 0..order here.
+    it a fresh state absorbs rows 0..order here.  A caller that has every
+    row asks for them all in one call, whose state absorbs them in one
+    batch per factor.
     """
     state = ProductState() if nonzero is None else nonzero
     state.absorb(a, b, order)

@@ -71,9 +71,14 @@ def _parse_trange(text: str) -> tuple[float, ...]:
     _require_finite((start, stop, step), "--t", text)
     if step <= 0 or stop < start:
         raise ConfigError("--t range needs step > 0 and stop >= start")
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ConfigError(
+            f"--t range {text!r} has too many values: (stop - start) / step overflows"
+        )
     # Floor, so the range never runs past stop; the tolerance keeps a stop
     # that lands on the grid despite rounding (0.1:0.5:0.1 gives 5 values).
-    count = int((stop - start) / step + 1e-9) + 1
+    count = int(steps + 1e-9) + 1
     return tuple(start + i * step for i in range(count))
 
 

@@ -37,7 +37,16 @@ import numpy as np
 
 from . import _backend
 from .errors import ConfigError, ParseError, TaylorPdeError
-from .series import TanhPoly, TimeSeries, add_rows, check_finite, dx_row, sub_rows, trim
+from .series import (
+    TanhPoly,
+    TimeSeries,
+    add_rows,
+    check_finite,
+    dx_row,
+    finite_prefix,
+    sub_rows,
+    trim,
+)
 
 
 @dataclass(frozen=True)
@@ -419,13 +428,24 @@ def _wrap(rendered: tuple[str, int], minprec: int, unary_ok: bool = False) -> st
 
 
 class RowEvaluator:
-    """The right-hand sides of a system, evaluated one order in t at a time.
+    """The right-hand sides of a system, evaluated order by order in t or
+    node by node.
 
     advance(row) takes the order-j coefficient of every field, j being the
-    number of earlier advance() calls, and returns the order-j coefficient
-    of every right-hand side.  Rows are 1-D float64 arrays in TanhPoly's
-    normal form (series.trim) from kernel to kernel; TanhPoly values exist
-    only at the boundary, in the series that solve() and eval_rhs()
+    number of orders taken so far, and returns the order-j coefficient of
+    every right-hand side: each node makes its one row of order j, operands
+    first.  That is the order-by-order schedule a solve needs, since the
+    rows of order j + 1 come from those of order j.  extend(columns) takes
+    every order that a caller already has, one list of rows per field,
+    and runs each node once over all of them, operands first: a product
+    makes all of its rows in one kernel call, whose factors take in their
+    new rows in one batch.  residual(), whose series are given, uses it.
+    Either way every row has the same bits, since a row of a node reads
+    only its operands' rows of the same and lower orders.
+
+    Rows are 1-D float64 arrays in TanhPoly's normal form (series.trim)
+    from kernel to kernel; TanhPoly values exist only at the boundary, in
+    the coefficients of the series that solve() and eval_rhs()
     return.  The expression trees are compiled once into nodes that keep
     the rows they have computed, so each order computes only its own row:
     a product row is sum_i a_i * b_(j-i) over the stored rows of its
@@ -473,20 +493,23 @@ class RowEvaluator:
     given.  That is safe because no stored row is ever written in place:
     every row function makes a new array.
 
-    advance() raises a ConfigError when it is given a row count other
-    than the field count.  The kernels match the dense loops only on
-    finite rows, so it raises a TaylorPdeError naming the order and field
-    of the first inf or nan coefficient it is given.  A nonzero constant
-    that no float holds, too large or too small, raises a TaylorPdeError
-    naming it when the evaluator is built.
+    advance() and extend() raise a ConfigError when they are given a row
+    count other than the field count.  The kernels match the dense loops
+    only on finite rows, so they raise a TaylorPdeError naming the order
+    and field of the first inf or nan coefficient they are given, before
+    they make any row.  A nonzero constant that no float holds, too large
+    or too small, raises a TaylorPdeError naming it when the evaluator is
+    built.
     """
 
     @_backend.quiet  # a constant folds to inf or nan silently, as a float does
     def __init__(self, system: PdeSystem):
         self._subjects = tuple(f"field {f}" for f in system.fields)
         self._state: list[list[np.ndarray]] = [[] for _ in system.fields]
-        # (rows.append, row) of every node, operands first: row(j) is its row j.
-        self._steps: list[tuple[Callable, Callable[[int], np.ndarray]]] = []
+        # (rows.append, row, rows.extend, span) of every node, operands
+        # first: row(j) is its row j, span(start, stop) its rows
+        # start..stop-1.
+        self._steps: list[tuple[Callable, Callable, Callable, Callable]] = []
         # Keyed by operation and the ids of the operands' row lists, which
         # live as long as the evaluator, so an id is never reused.  Not
         # keyed by the tree nodes: hashing one recurses through its subtree.
@@ -523,10 +546,37 @@ class RowEvaluator:
             check_finite(self._subjects, j, row)
         for rows, p in zip(self._state, row):
             rows.append(p)
-        for append, make in self._steps:
-            append(make(j))
+        for append, row_of, _, _ in self._steps:
+            append(row_of(j))
         self._order += 1
         return tuple(rows[j] for rows in self._roots)
+
+    @_backend.quiet
+    def extend(self, columns: Sequence[Sequence[np.ndarray]]) -> tuple[list[np.ndarray], ...]:
+        """advance() once per order of columns, one list of rows per field,
+        run node by node: returns the rows of those orders of every
+        right-hand side, one list per field.
+
+        The rows are those of the advance() calls, bit for bit, and so is
+        the first error: the field-count ConfigError, then the
+        TaylorPdeError of the lowest order, then first field, that holds an
+        inf or nan.  Every field brings the same number of rows.
+        """
+        j = self._order
+        if len(columns) != len(self._state):
+            raise ConfigError(
+                f"system has {len(self._state)} fields but state has {len(columns)} entries"
+            )
+        n = len(columns[0]) if columns else 0
+        bad = finite_prefix(columns)
+        if bad < n:
+            check_finite(self._subjects, j + bad, [col[bad] for col in columns])
+        for rows, col in zip(self._state, columns):
+            rows += col
+        for _, _, extend, span in self._steps:
+            extend(span(j, j + n))
+        self._order += n
+        return tuple(rows[j:] for rows in self._roots)
 
     def _compile(self, node: Node, operands: list[list[np.ndarray]]) -> list[np.ndarray]:
         """Register the steps that extend a node's rows, given the rows of
@@ -565,13 +615,21 @@ class RowEvaluator:
             return rows
         raise TypeError(f"not an expression node: {node!r}")
 
-    def _node(self, key: tuple, row: Callable[[int], np.ndarray]) -> list[np.ndarray]:
+    def _node(
+        self,
+        key: tuple,
+        row: Callable[[int], np.ndarray],
+        span: Callable[[int, int], list] | None = None,
+    ) -> list[np.ndarray]:
         """The rows of node `key`; on first sight a new node whose row j is
-        row(j), after every step registered so far."""
+        row(j), after every step registered so far, and whose rows
+        start..stop-1 are span(start, stop), by default row(j) for each j."""
         rows = self._nodes.get(key)
         if rows is None:
             rows = self._nodes[key] = []
-            self._steps.append((rows.append, row))
+            if span is None:
+                span = lambda start, stop: list(map(row, range(start, stop)))
+            self._steps.append((rows.append, row, rows.extend, span))
         return rows
 
     def _constant(self, key: tuple, head: np.ndarray, tail: np.ndarray) -> list[np.ndarray]:
@@ -632,7 +690,11 @@ class RowEvaluator:
             return self._node(key, lambda j: trim(x[j] * c + 0.0))
         state = _backend.ProductState()
         return self._node(
-            key, lambda j: trim(_backend.series_product(a, b, j, start=j, nonzero=state)[0])
+            key,
+            lambda j: trim(_backend.series_product(a, b, j, start=j, nonzero=state)[0]),
+            lambda start, stop: list(
+                map(trim, _backend.series_product(a, b, stop - 1, start=start, nonzero=state))
+            ),
         )
 
 

@@ -98,6 +98,18 @@ def check_finite(subjects: Iterable[str], j: int, rows: Sequence) -> None:
             )
 
 
+def finite_prefix(columns: Sequence[Sequence]) -> int:
+    """How many leading orders of columns, one list of rows (arrays or
+    coefficient tuples) per subject, hold only finite coefficients: the
+    order of the first inf or nan, or the shortest column's row count."""
+    n = min(map(len, columns), default=0)
+    rows = [row for col in columns for row in col[:n]]
+    if not rows or np.isfinite(np.concatenate(rows)).all():
+        return n
+    orders = enumerate(zip(*columns))
+    return next(j for j, rows in orders if not np.isfinite(np.concatenate(rows)).all())
+
+
 class TanhPoly:
     """Polynomial in w = tanh(x), stored dense from degree 0 up.
 

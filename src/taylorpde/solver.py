@@ -6,27 +6,31 @@ coefficients turns u_t = F(u) into the recurrence
     u[j+1] = (order-j coefficient of F evaluated on the truncated state) / (j+1),
 
 which is the term-by-term antiderivative of F.  The order-j coefficient
-of F only reads state coefficients 0..j, so solve() feeds the state to a
-dsl.RowEvaluator one row per order, and each order computes only its own
-row of every product and derivative (Taylor mode: a solve to order N
-multiplies O(N^2) pairs of rows, not O(N^3)).  Earlier coefficients
-never change: extending a solve to a higher order reproduces the
-lower-order coefficients bitwise.
+of F only reads state coefficients 0..j, so solve() goes order by order:
+it feeds the state to a dsl.RowEvaluator one row per order (advance),
+and each order computes only its own row of every product and derivative
+(Taylor mode: a solve to order N multiplies O(N^2) pairs of rows, not
+O(N^3)).  Earlier coefficients never change: extending a solve to a
+higher order reproduces the lower-order coefficients bitwise.
 
-residual() feeds the stored rows to a RowEvaluator as solve() does and
-compares every order of a field with the rows it regenerates: how far
-the series is from satisfying the system, exactly 0.0 on solve()'s own
-output for that system.
+residual() is given every row up front, so it goes node by node: it
+hands all the stored orders to the RowEvaluator at once (extend), each
+node makes its rows of every order in one step, operands first, and
+each product makes all of its rows in one kernel call.  The rows are
+the ones the order-by-order replay makes, bit for bit.  It compares
+every order of a field with the rows it regenerates: how far the series
+is from satisfying the system, exactly 0.0 on solve()'s own output for
+that system.
 
 Rows, TanhPoly's role as the boundary and the bitwise replay tests: see
 series.  The product kernel's term order and zero skipping: see
 _backend.  Constant folding: see dsl.RowEvaluator.
 
-RowEvaluator.advance() checks every row it is given, solve() and
-residual() check the last row as well, and residual() and eval_rhs()
-check every row they make: all raise a TaylorPdeError on the first inf
-or nan instead of returning it as a number.  An overflow inside a
-right-hand side reaches the new row unless a product skips it: a zero
+RowEvaluator.advance() and extend() check every row they are given,
+solve() and residual() check the last row as well, and residual() and
+eval_rhs() check every row they make: all raise a TaylorPdeError on the
+first inf or nan instead of returning it as a number.  An overflow inside
+a right-hand side reaches the new row unless a product skips it: a zero
 constant on the left always does, and the kernel does where the factor
 that supplies the terms, left or right, holds an exact zero; there the
 skip gives the exact product, zero, where the dense loops gave nan.  A
@@ -44,7 +48,7 @@ import numpy as np
 from . import _backend
 from .dsl import PdeSystem, RowEvaluator
 from .errors import ConfigError
-from .series import TanhPoly, TimeSeries, check_finite, grid, trim
+from .series import TanhPoly, TimeSeries, check_finite, finite_prefix, grid, trim
 
 
 @dataclass(frozen=True)
@@ -127,32 +131,35 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     Re-evaluates the system's right-hand sides on the stored series and
     compares each stored coefficient with the one the update rule
     regenerates; the returned value is the maximum tanh-coefficient
-    magnitude of the differences.  A solution produced by solve() for the
-    same system gives exactly 0.0, since the same floating-point
-    operations are replayed.  Passing a different system measures how far
-    the series is from satisfying it, which is how the fixtures'
-    exact-solution claims are verified.  A TaylorPdeError names the order
-    and field of the first inf or nan coefficient, stored or regenerated,
-    as in solve().  A ValueError refuses a solution of order 0, and the
-    evaluator's ConfigError a system whose field count is not the
-    solution's.
+    magnitude of the differences.  The stored rows are all given, so the
+    evaluator runs node by node over every order at once
+    (RowEvaluator.extend), not order by order as solve() must.  A
+    solution produced by solve() for the same system gives exactly 0.0,
+    since the same floating-point operations are replayed.  Passing a
+    different system measures how far the series is from satisfying it,
+    which is how the fixtures' exact-solution claims are verified.  A
+    TaylorPdeError names the first inf or nan coefficient as in solve():
+    the stored rows are checked first, lowest order and then field first,
+    then the regenerated ones.  A ValueError refuses a solution of order
+    0, and the evaluator's ConfigError a system whose field count is not
+    the solution's.
     """
     n = solution.order
     if n < 1:
         raise ValueError("order must be at least 1")
     columns = [[p.row() for p in s.coeffs] for s in solution.series]
-    rhs = RowEvaluator(system)
-    made_rows = [rhs.advance([col[j] for col in columns]) for j in range(n)]
+    made = RowEvaluator(system).extend([col[:n] for col in columns])
     subjects = [f"field {f}" for f in system.fields]
     check_finite(subjects, n, [col[n] for col in columns])
+    # Row j of a right-hand side makes row j + 1 of its field, and
+    # dividing by j + 1 keeps a coefficient finite or not.
+    first = finite_prefix(made)
+    if first < n:
+        check_finite(subjects, first + 1, [rows[first] for rows in made])
     # Orders 1..n of each field, stored and regenerated, as two halves of
     # one grid: the zero padding gives |x - 0| = |x|, as sub_rows' tail.
-    pairs = []
-    for col, made in zip(columns, zip(*made_rows)):
-        rows = grid([*col[1:], *made])
-        pairs.append((rows[:n], rows[n:] / np.arange(1.0, n + 1)[:, None]))
-    finite = [np.isfinite(made).all(axis=1) for _, made in pairs]
-    first = min((int(rows.argmin()) for rows in finite if not rows.all()), default=n)
-    if first < n:
-        check_finite(subjects, first + 1, [made[first] for _, made in pairs])
-    return max(float(np.abs(stored - made).max()) for stored, made in pairs)
+    gaps = []
+    for col, rows in zip(columns, made):
+        both = grid([*col[1:], *rows])
+        gaps.append(float(np.abs(both[:n] - both[n:] / np.arange(1.0, n + 1)[:, None]).max()))
+    return max(gaps)

@@ -32,8 +32,8 @@ def test_tracer_installs_on_a_solve_and_comes_off():
         assert solver.solve is not originals["solve"]
         sol = solver.solve(fx.system, fx.initial, 8)
         solver.residual(fx.system, sol)
-        # residual replays rows through the evaluator, not eval_rhs; call
-        # it directly so that its wrapper runs too.
+        # residual runs the evaluator itself, not eval_rhs; call it
+        # directly so that its wrapper runs too.
         dsl.eval_rhs(fx.system, sol.series, 7)
     finally:
         tracer.uninstall()
@@ -42,11 +42,12 @@ def test_tracer_installs_on_a_solve_and_comes_off():
     assert _backend.series_product is originals["series_product"]
     names = {span[0] for span in tracer.spans}
     assert {"solver.solve", "solver.residual", "dsl.eval_rhs", "kernels.series_product"} <= names
-    # The per-layer counters see the kernel: one series_product span per
-    # product of two series per order (coupled has 3, one (f - c)^2 per
-    # field; its products with a constant are row scales; the solve, the
-    # residual and eval_rhs each make 8 rows), and its multiply-adds are
-    # counted.
+    # The per-layer counters see the kernel: coupled has 3 products of two
+    # series, one (f - c)^2 per field (its products with a constant are
+    # row scales).  The solve and eval_rhs make one series_product call
+    # per product per order, 8 orders each; the residual is given every
+    # order at once and makes one call of 8 rows per product.  Its
+    # multiply-adds are counted.
     products = [span for span in tracer.spans if span[0] == "kernels.series_product"]
-    assert len(products) == 3 * 8 * 3
+    assert len(products) == 3 * 8 + 3 + 3 * 8
     assert tracer.counts["kernels.madds"] > 0

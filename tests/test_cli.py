@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from taylorpde import cli
+from taylorpde import ConfigError, cli
 from taylorpde.cli import _parse_trange
 
 CLI = [sys.executable, "-m", "taylorpde.cli"]
@@ -149,6 +149,13 @@ class TestTimeRange:
         assert len(ts) == count
         assert ts[-1] == last
 
+    @pytest.mark.parametrize("text", ["0:1e308:1e-308", "-1e308:1e308:1"])
+    def test_range_of_too_many_steps_is_refused(self, text):
+        # Each part is finite, but the step count is not.
+        message = f"^--t range '{text}' has too many values: \\(stop - start\\) / step overflows$"
+        with pytest.raises(ConfigError, match=message):
+            _parse_trange(text)
+
 
 class TestRadius:
     def test_values(self):
@@ -258,6 +265,8 @@ class TestExitCodes:
             ("radius", "--x=nan,inf"),
             ("solve", "--fixture", "riccati", "--order", "3", "--init", "0,inf"),
             ("solve", "--fixture", "riccati", "--order", "3", "--init", "nan"),
+            # Finite parts whose (stop - start) / step overflows.
+            ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "0:1e308:1e-308", "--out", OUT_DIR),
         ],
     )
     def test_config_errors_exit_2(self, args, tmp_path):

@@ -233,6 +233,22 @@ class TestEvalRhs:
             eval_rhs(sys, state, 1)
         assert type(err.value) is TaylorPdeError
 
+    @pytest.mark.parametrize(
+        ("u", "message"),
+        [
+            # u*u overflows at order 0, before the inf state row of order 1.
+            ([1e200, math.inf], "^order 0 of the right-hand side of field u is not finite: "),
+            # The inf state row of order 0 comes before any right-hand side.
+            ([math.inf, 1e200], "^order 0 of field u is not finite: "),
+        ],
+        ids=["right-hand-side", "state"],
+    )
+    def test_checks_each_order_of_the_state_then_of_the_right_hand_sides(self, u, message):
+        sys = parse_system("u' = u*u")
+        with pytest.raises(TaylorPdeError, match=message + "coefficient of w\\^0 is inf$") as err:
+            eval_rhs(sys, [TimeSeries([[c] for c in u])], 1)
+        assert type(err.value) is TaylorPdeError
+
 
 class TestRowEvaluator:
     @pytest.mark.parametrize(
@@ -246,6 +262,13 @@ class TestRowEvaluator:
         message = f"^system has 2 fields but state has {len(rows)} entries$"
         with pytest.raises(ConfigError, match=message):
             evaluator.advance([np.array(r) for r in rows])
+
+    def test_extend_checks_the_field_count(self):
+        # Before it looks at the rows: the third field's inf is not named.
+        evaluator = RowEvaluator(parse_system("u' = v\nv' = u"))
+        columns = [[[1.0]], [[2.0]], [[math.inf]]]
+        with pytest.raises(ConfigError, match="^system has 2 fields but state has 3 entries$"):
+            evaluator.extend([[np.array(r) for r in col] for col in columns])
 
     @pytest.mark.parametrize("form", ["u + {c}", "{c} + u", "u - {c}", "{c} - u"])
     def test_sum_with_a_constant_whose_later_rows_are_nan(self, form):

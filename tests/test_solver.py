@@ -1,7 +1,10 @@
 import math
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylorpde import (
     ConfigError,
@@ -15,7 +18,19 @@ from taylorpde import (
     solve,
 )
 from taylorpde import _backend, cli, dsl
-from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, PdeSystem, Pow, Sub, eval_rhs
+from taylorpde.dsl import (
+    Add,
+    Const,
+    Deriv,
+    Field,
+    Mul,
+    Neg,
+    PdeSystem,
+    Pow,
+    RowEvaluator,
+    Sub,
+    eval_rhs,
+)
 from taylorpde.series import sub_rows
 from test_kernels import _Dense
 
@@ -532,11 +547,120 @@ def test_row_evaluator_matches_whole_series_evaluation_bitwise(name):
     )
 
 
+_SOLVED: dict = {}
+
+
+def _solved_rows(name):
+    """The rows of every field of the solve of _SYSTEMS[name], as arrays."""
+    if name not in _SOLVED:
+        system, initial, order = _SYSTEMS[name]
+        _SOLVED[name] = [[p.row() for p in s.coeffs] for s in solve(system, initial, order).series]
+    return _SOLVED[name]
+
+
+def _advance_each(system, columns):
+    """The rows of one advance() per order, as one list of rows per
+    right-hand side, and the error that stopped them, if any."""
+    evaluator = RowEvaluator(system)
+    made = [[] for _ in system.fields]
+    try:
+        for rows in zip(*columns):
+            for col, row in zip(made, evaluator.advance(list(rows))):
+                col.append(row)
+    except TaylorPdeError as err:
+        return made, err
+    return made, None
+
+
+def _advance_then_extend(system, columns, first, split):
+    """The rows of advance() once per order of 0..first-1, then of
+    extend() on orders first..split-1 and on the rest, and the error that
+    stopped them, if any."""
+    evaluator = RowEvaluator(system)
+    made = [[] for _ in system.fields]
+    try:
+        for rows in zip(*(col[:first] for col in columns)):
+            for col, row in zip(made, evaluator.advance(list(rows))):
+                col.append(row)
+        for part in ([col[first:split] for col in columns], [col[split:] for col in columns]):
+            for col, rows in zip(made, evaluator.extend(part)):
+                col += rows
+    except TaylorPdeError as err:
+        return made, err
+    return made, None
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_extend_matches_one_advance_per_order(data):
+    # extend() makes every order of a node in one step, where advance()
+    # makes one order of every node: the same rows, bit for bit, and the
+    # same first error, whether extend() takes every order, follows
+    # advance() calls (whose factors grew one row at a time) or follows
+    # another extend().  Up to two infs or nans go into drawn rows at
+    # drawn coefficients, so which one is named first shows the order of
+    # the checks.
+    name = data.draw(st.sampled_from(list(_SYSTEMS)), label="system")
+    system = _SYSTEMS[name][0]
+    solved = _solved_rows(name)
+    n = data.draw(st.integers(1, len(solved[0])), label="orders")
+    columns = [rows[:n] for rows in solved]
+    for _ in range(data.draw(st.integers(0, 2), label="injections")):
+        k = data.draw(st.integers(0, n - 1), label="order")
+        f = data.draw(st.integers(0, len(columns) - 1), label="field")
+        row = columns[f][k].copy()
+        p = data.draw(st.integers(0, len(row) - 1), label="coefficient")
+        row[p] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]), label="value")
+        columns[f] = [*columns[f][:k], row, *columns[f][k + 1 :]]
+    first = data.draw(st.integers(0, n), label="advanced")
+    split = data.draw(st.integers(first, n), label="split")
+    expected, expected_err = _advance_each(system, columns)
+    made, err = _advance_then_extend(system, columns, first, split)
+    assert repr(err) == repr(expected_err)
+    # Rows made before an error are the advance() calls' rows too.
+    assert _bits([rows[: len(col)] for rows, col in zip(expected, made)]) == _bits(made)
+    if err is None:
+        assert all(len(col) == n for col in made)
+
+
+@pytest.mark.parametrize(
+    ("source", "initial"),
+    [
+        # a's row 3, d0 / 6, is 101 coefficients long where its rows 0..2
+        # have one: a batch that holds it must widen the padded array of
+        # the square a*a that one-row takes grew.
+        (
+            "a' = b + a*a\nb' = c\nc' = d\nd' = 0",
+            [TanhPoly([0.5]), TanhPoly([1]), TanhPoly([1]), TanhPoly([0] * 100 + [1])],
+        ),
+        # c's rows never get longer than its row 0, so a batch needs no
+        # more columns than the one-row takes left room for, but it may
+        # need more rows.
+        ("u' = c*c\nc' = 0", [TanhPoly([0]), TanhPoly([1, 1])]),
+    ],
+    ids=["row-jumps", "rows-same-length"],
+)
+def test_extend_after_advance_keeps_every_row(source, initial):
+    # The padded array of a product factor is rebuilt when a take needs
+    # more room, never smaller than it was.  Every split of eight orders
+    # into advance() calls and two extend() calls gives the advance()
+    # calls' rows.
+    system = parse_system(source)
+    columns = [[p.row() for p in s.coeffs] for s in solve(system, initial, 7).series]
+    expected, _ = _advance_each(system, columns)
+    for first in range(9):
+        for split in range(first, 9):
+            made, err = _advance_then_extend(system, columns, first, split)
+            assert err is None
+            assert _bits(made) == _bits(expected), (first, split)
+
+
 @pytest.mark.parametrize("name", list(_SYSTEMS))
 def test_each_order_computes_one_product_row(name, monkeypatch):
     # Taylor mode: order j multiplies only row j of every product, so a
     # solve to order N makes N row-only kernel calls per product and the
-    # work stays quadratic in N.
+    # work stays quadratic in N.  The residual is given every order at
+    # once, so each product makes its N rows in one call.
     system, initial, order = _SYSTEMS[name]
     kernel = _backend.series_product
     calls = []
@@ -551,7 +675,7 @@ def test_each_order_computes_one_product_row(name, monkeypatch):
     assert calls == [1] * order * _PRODUCTS_PER_ORDER[name]
     calls.clear()
     residual(system, sol)
-    assert calls == [1] * order * _PRODUCTS_PER_ORDER[name]
+    assert calls == [order] * _PRODUCTS_PER_ORDER[name]
 
 
 # Products per order whose two factors are one node, u^2 or (u - 1)^2:
@@ -565,23 +689,24 @@ def test_each_factor_row_is_scanned_once(name, monkeypatch):
     # distinct factor across orders, so a solve to order N scans each
     # factor row once: N rows per square and 2N per product of two
     # different series (kdv at N=15: u * u_x, 30), not rows 0..j at every
-    # order j.
+    # order j.  The solve scans one row per call, the residual all N rows
+    # of a factor in one call.
     system, initial, order = _SYSTEMS[name]
     squares = _SQUARES_PER_ORDER.get(name, 0)
-    scans = order * (squares + 2 * (_PRODUCTS_PER_ORDER[name] - squares))
+    factors = squares + 2 * (_PRODUCTS_PER_ORDER[name] - squares)
     scan = _backend._nonzero
     calls = []
 
-    def recording(row):
-        calls.append(row)
-        return scan(row)
+    def recording(rows):
+        calls.append(len(np.atleast_2d(rows)))
+        return scan(rows)
 
     monkeypatch.setattr(_backend, "_nonzero", recording)
     sol = solve(system, initial, order)
-    assert len(calls) == scans
+    assert calls == [1] * order * factors
     calls.clear()
     residual(system, sol)
-    assert len(calls) == scans
+    assert calls == [order] * factors
 
 
 # Derivative rows per order, each one dx_row call: one per distinct
