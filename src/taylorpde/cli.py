@@ -57,6 +57,11 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
+# The most values a --t range may hold: each is a float in a tuple, and
+# a table has a row per value, x, order and field.
+_MAX_T_VALUES = 10**6
+
+
 def _parse_trange(text: str) -> tuple[float, ...]:
     """Either an explicit list `0.1,0.2` or a range `start:stop:step`."""
     if ":" not in text:
@@ -79,6 +84,10 @@ def _parse_trange(text: str) -> tuple[float, ...]:
     # Floor, so the range never runs past stop; the tolerance keeps a stop
     # that lands on the grid despite rounding (0.1:0.5:0.1 gives 5 values).
     count = int(steps + 1e-9) + 1
+    if count > _MAX_T_VALUES:
+        raise ConfigError(
+            f"--t range {text!r} has {count} values, more than the {_MAX_T_VALUES} allowed"
+        )
     return tuple(start + i * step for i in range(count))
 
 

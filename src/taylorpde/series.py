@@ -15,7 +15,8 @@ the product kernel _backend.series_product are the package's only
 polynomial arithmetic; TimeSeries.mul and dx go through them too.
 dx_row is two slice ops with the bits of the dense loop that multiplies
 by 1 - w**2.  check_finite is the one test for inf and nan
-coefficients, and grid the one zero-padding of rows into a 2-D array.
+coefficients and holds the one rule for which of them an error names,
+and grid is the one zero-padding of rows into a 2-D array.
 The tests replay these operations on plain Python lists and compare the
 bits.
 """
@@ -84,30 +85,28 @@ def grid(rows: Sequence) -> np.ndarray:
     return out
 
 
-def check_finite(subjects: Iterable[str], j: int, rows: Sequence) -> None:
-    """Raise on the first inf or nan coefficient of rows (arrays or
-    coefficient tuples) at order j, one row per subject, a phrase such
-    as "field u" that the message names."""
-    for subject, row in zip(subjects, rows):
-        finite = np.isfinite(row)
-        if not finite.all():
-            p = int(finite.argmin())
-            raise TaylorPdeError(
-                f"order {j} of {subject} is not finite: "
-                f"coefficient of w^{p} is {float(row[p])!r}"
-            )
+def check_finite(subjects: Sequence[str], orders: Iterable[Sequence], first: int = 0) -> None:
+    """Raise on the first inf or nan coefficient of orders, numbered from
+    first, each one row (array or coefficient tuple) per subject, a
+    phrase such as "field u" that the message names.
 
-
-def finite_prefix(columns: Sequence[Sequence]) -> int:
-    """How many leading orders of columns, one list of rows (arrays or
-    coefficient tuples) per subject, hold only finite coefficients: the
-    order of the first inf or nan, or the shortest column's row count."""
-    n = min(map(len, columns), default=0)
-    rows = [row for col in columns for row in col[:n]]
+    First means the lowest order, then the first subject, then the
+    lowest power.  One np.isfinite pass reads every row; only on failure
+    are they scanned order by order.
+    """
+    orders = list(orders)
+    rows = [row for order in orders for row in order]
     if not rows or np.isfinite(np.concatenate(rows)).all():
-        return n
-    orders = enumerate(zip(*columns))
-    return next(j for j, rows in orders if not np.isfinite(np.concatenate(rows)).all())
+        return
+    for j, order in enumerate(orders, first):
+        for subject, row in zip(subjects, order):
+            finite = np.isfinite(row)
+            if not finite.all():
+                p = int(finite.argmin())
+                raise TaylorPdeError(
+                    f"order {j} of {subject} is not finite: "
+                    f"coefficient of w^{p} is {float(row[p])!r}"
+                )
 
 
 class TanhPoly:
@@ -213,13 +212,11 @@ class TimeSeries:
                 f"carry {order + 1} coefficients; have orders "
                 f"{self.order} and {other.order}"
             )
-        rows_a = [p.coeffs for p in self._coeffs]
-        rows_b = [p.coeffs for p in other._coeffs]
-        for j in range(order + 1):
-            check_finite(("the left factor", "the right factor"), j, (rows_a[j], rows_b[j]))
+        rows_a = [p.coeffs for p in self._coeffs[: order + 1]]
+        rows_b = [p.coeffs for p in other._coeffs[: order + 1]]
+        check_finite(("the left factor", "the right factor"), zip(rows_a, rows_b))
         rows = _backend.series_product(rows_a, rows_b, order)
-        for j, row in enumerate(rows):
-            check_finite(("the product",), j, (row,))
+        check_finite(("the product",), zip(rows))
         return TimeSeries([TanhPoly(row) for row in rows])
 
     @_backend.quiet
@@ -235,8 +232,7 @@ class TimeSeries:
         rows = [p.row() for p in self._coeffs]
         for _ in range(k):
             rows = [dx_row(r) for r in rows]
-        for j, row in enumerate(rows):
-            check_finite(("the derivative",), j, (row,))
+        check_finite(("the derivative",), zip(rows))
         return TimeSeries(map(TanhPoly, rows))
 
     def eval(self, x: float, t: float) -> float:

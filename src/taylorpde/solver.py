@@ -28,8 +28,10 @@ _backend.  Constant folding: see dsl.RowEvaluator.
 
 RowEvaluator.advance() and extend() check every row they are given,
 solve() and residual() check the last row as well, and residual() and
-eval_rhs() check every row they make: all raise a TaylorPdeError on the
-first inf or nan instead of returning it as a number.  An overflow inside
+eval_rhs() check every row they make.  Each check is one
+series.check_finite call over rows order by order, which raises a
+TaylorPdeError on the first inf or nan, lowest order and then first
+field, instead of returning it as a number.  An overflow inside
 a right-hand side reaches the new row unless a product skips it: a zero
 constant on the left always does, and the kernel does where the factor
 that supplies the terms, left or right, holds an exact zero; there the
@@ -48,7 +50,7 @@ import numpy as np
 from . import _backend
 from .dsl import PdeSystem, RowEvaluator
 from .errors import ConfigError
-from .series import TanhPoly, TimeSeries, check_finite, finite_prefix, grid, trim
+from .series import TanhPoly, TimeSeries, check_finite, grid, trim
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def solve(system: PdeSystem, initial: Sequence, order: int) -> SeriesSolution:
         for col, r in zip(columns, rows):
             col.append(trim(r / (j + 1)))
     subjects = [f"field {f}" for f in system.fields]
-    check_finite(subjects, order, [col[order] for col in columns])
+    check_finite(subjects, [[col[order] for col in columns]], order)
     series = (TimeSeries([p, *map(TanhPoly, col[1:])]) for p, col in zip(profiles, columns))
     return SeriesSolution(system, tuple(series))
 
@@ -150,12 +152,10 @@ def residual(system: PdeSystem, solution: SeriesSolution) -> float:
     columns = [[p.row() for p in s.coeffs] for s in solution.series]
     made = RowEvaluator(system).extend([col[:n] for col in columns])
     subjects = [f"field {f}" for f in system.fields]
-    check_finite(subjects, n, [col[n] for col in columns])
+    check_finite(subjects, [[col[n] for col in columns]], n)
     # Row j of a right-hand side makes row j + 1 of its field, and
     # dividing by j + 1 keeps a coefficient finite or not.
-    first = finite_prefix(made)
-    if first < n:
-        check_finite(subjects, first + 1, [rows[first] for rows in made])
+    check_finite(subjects, zip(*made), 1)
     # Orders 1..n of each field, stored and regenerated, as two halves of
     # one grid: the zero padding gives |x - 0| = |x|, as sub_rows' tail.
     gaps = []

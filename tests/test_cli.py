@@ -156,6 +156,20 @@ class TestTimeRange:
         with pytest.raises(ConfigError, match=message):
             _parse_trange(text)
 
+    @pytest.mark.parametrize(
+        "text, count",
+        [("0:1e12:1e-6", 1_000_000_000_000_000_001), ("0:1:1e-6", 1_000_001)],
+    )
+    def test_range_of_more_values_than_the_cap_is_refused(self, text, count):
+        # The step count is finite, but the values would not fit in memory.
+        message = f"^--t range '{text}' has {count} values, more than the 1000000 allowed$"
+        with pytest.raises(ConfigError, match=message):
+            _parse_trange(text)
+
+    def test_range_at_the_cap_is_built(self):
+        ts = _parse_trange("0:0.999999:1e-6")
+        assert len(ts) == 1_000_000
+
 
 class TestRadius:
     def test_values(self):
@@ -267,6 +281,8 @@ class TestExitCodes:
             ("solve", "--fixture", "riccati", "--order", "3", "--init", "nan"),
             # Finite parts whose (stop - start) / step overflows.
             ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "0:1e308:1e-308", "--out", OUT_DIR),
+            # A finite step count of 1e18, which would exhaust memory.
+            ("table", "--fixture", "riccati", "--orders", "2", "--x", "1", "--t", "0:1e12:1e-6", "--out", OUT_DIR),
         ],
     )
     def test_config_errors_exit_2(self, args, tmp_path):
@@ -306,6 +322,24 @@ class TestExitCodes:
         proc = run("solve", "--system", str(path), "--init", "0,1", "--order", "3")
         assert proc.returncode == 2
         assert "line 1" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "rhs", ["(" * 3000 + "u" + ")" * 3000, "-" * 3000 + "u"], ids=["parentheses", "minuses"]
+    )
+    def test_nesting_past_the_recursion_limit_exits_2(self, rhs, tmp_path):
+        path = tmp_path / "deep.pde"
+        path.write_text("u' = " + rhs + "\n")
+        proc = run("solve", "--system", str(path), "--init", "0,1", "--order", "3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 1: right-hand side of 'u' is nested too deeply\n"
+
+    def test_a_150_deep_system_solves(self, tmp_path):
+        path = tmp_path / "deep.pde"
+        path.write_text("u' = " + "(" * 150 + "u*u" + ")" * 150 + "\n")
+        proc = run("solve", "--system", str(path), "--init", "0,1", "--order", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == "fields: u\norder: 3\nresidual: 0\n"
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # [0/2] at x = 0 has a leading zero coefficient column, so the

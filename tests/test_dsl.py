@@ -13,6 +13,8 @@ from taylorpde import (
     eval_rhs,
     parse_system,
     pretty,
+    residual,
+    solve,
 )
 from taylorpde.dsl import Add, Const, Deriv, Field, Mul, Neg, Pow, RowEvaluator, Sub
 from taylorpde.series import add_rows, sub_rows
@@ -131,6 +133,24 @@ class TestParsing:
     def test_unknown_subscript(self):
         with pytest.raises(ParseError):
             parse_system("u' = u_y")
+
+    @pytest.mark.parametrize(
+        "rhs", ["(" * 3000 + "v" + ")" * 3000, "-" * 3000 + "v"], ids=["parentheses", "minuses"]
+    )
+    def test_nesting_past_the_recursion_limit_names_the_line(self, rhs):
+        # The parser recurses once per level; past the interpreter's limit
+        # the input is refused, not left to a RecursionError.
+        message = "^line 2: right-hand side of 'v' is nested too deeply$"
+        with pytest.raises(ParseError, match=message):
+            parse_system("u' = v\nv' = " + rhs)
+
+    def test_a_150_deep_system_still_solves(self):
+        deep = parse_system("u' = " + "(" * 150 + "u*v" + ")" * 150 + "\nv' = " + "-" * 150 + "u")
+        flat = parse_system("u' = u*v\nv' = u")
+        assert deep.equations[0] == flat.equations[0]
+        solution = solve(deep, [[0.5, 1.0], [1.0, -0.25]], 6)
+        assert solution.series == solve(flat, [[0.5, 1.0], [1.0, -0.25]], 6).series
+        assert residual(deep, solution) == 0.0
 
 
 class TestPretty:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import test_solver as plain
 from taylorpde import ConfigError, TanhPoly, TaylorPdeError, TimeSeries, partial_sum
 from taylorpde import _backend
-from taylorpde.series import add_rows, dx_row, sub_rows, trim
+from taylorpde.series import add_rows, check_finite, dx_row, sub_rows, trim
 from test_kernels import _bits
 
 
@@ -280,6 +280,48 @@ def test_dx_row_keeps_the_bits_of_the_chain_rule_product(row):
     with np.errstate(all="ignore"):
         chain = trim(_backend.conv(np.arange(1, len(r)) * r[1:], [1.0, 0.0, -1.0]))
         assert _bits([dx_row(r)]) == _bits([chain])
+
+
+def _first_non_finite(subjects, orders, first):
+    """check_finite's message as a plain double loop over (order,
+    subject), then power; None when every coefficient is finite."""
+    for j, order in enumerate(orders, first):
+        for subject, row in zip(subjects, order):
+            for p, c in enumerate(row):
+                if not math.isfinite(c):
+                    return f"order {j} of {subject} is not finite: coefficient of w^{p} is {float(c)!r}"
+    return None
+
+
+@st.composite
+def _orders(draw):
+    """(subjects, orders, first): one to three subjects, rows as arrays
+    or coefficient tuples, and up to two infs or nans at drawn (order,
+    subject, power)."""
+    subjects = [f"field {name}" for name in "uvw"[: draw(st.integers(1, 3))]]
+    order_rows = st.lists(_coeff_lists, min_size=len(subjects), max_size=len(subjects))
+    orders = draw(st.lists(order_rows, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(draw(st.sampled_from(orders))))
+        power = draw(st.integers(0, len(row) - 1))
+        row[power] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    kind = draw(st.sampled_from([np.array, tuple]))
+    return subjects, [[kind(row) for row in order] for order in orders], draw(st.integers(0, 100))
+
+
+@given(_orders())
+def test_check_finite_names_what_a_double_loop_finds_first(case):
+    # The one np.isfinite pass and the scan on failure against the rule
+    # written out: lowest order, then first subject, then lowest power.
+    subjects, orders, first = case
+    expected = _first_non_finite(subjects, orders, first)
+    if expected is None:
+        check_finite(subjects, iter(orders), first)
+    else:
+        with pytest.raises(TaylorPdeError) as err:
+            check_finite(subjects, iter(orders), first)
+        assert type(err.value) is TaylorPdeError
+        assert str(err.value) == expected
 
 
 def test_series_eval_partial_sum_accuracy(riccati, riccati15):
