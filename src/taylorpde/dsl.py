@@ -43,6 +43,8 @@ from .series import (
     add_rows,
     check_finite,
     dx_row,
+    dx_rows,
+    grid,
     sub_rows,
     trim,
 )
@@ -562,7 +564,10 @@ class RowEvaluator:
     def extend(self, columns: Sequence[Sequence[np.ndarray]]) -> tuple[list[np.ndarray], ...]:
         """advance() once per order of columns, one list of rows per field,
         run node by node: returns the rows of those orders of every
-        right-hand side, one list per field.
+        right-hand side, one list per field.  A product makes its rows in
+        one kernel call, and a derivative or a scale by a constant in one
+        pass over the grid of its operand's rows; the other nodes make
+        them row by row.
 
         The rows are those of the advance() calls, bit for bit, and so is
         the first error: the field-count ConfigError, then the
@@ -603,7 +608,11 @@ class RowEvaluator:
             # recursion on order k-1, so the stack depth does not bound k.
             rows = self._state[node.index]
             for _ in range(node.order):
-                rows = self._node(("dx", id(rows)), lambda j, a=rows: dx_row(a[j]))
+                rows = self._node(
+                    ("dx", id(rows)),
+                    lambda j, a=rows: dx_row(a[j]),
+                    lambda start, stop, a=rows: dx_rows(a[start:stop]),
+                )
             return rows
         if isinstance(node, Add):
             return self._sum("+", *operands)
@@ -693,7 +702,13 @@ class RowEvaluator:
             cx = self._constants.get(id(x))
             if cx is not None:
                 return self._constant(key, *(trim(row * c + 0.0) for row in cx))
-            return self._node(key, lambda j: trim(x[j] * c + 0.0))
+            return self._node(
+                key,
+                lambda j: trim(x[j] * c + 0.0),
+                lambda start, stop: [
+                    trim(s[: len(r)]) for s, r in zip(grid(x[start:stop]) * c + 0.0, x[start:stop])
+                ],
+            )
         state = _backend.ProductState()
         return self._node(
             key,

@@ -10,13 +10,15 @@ TanhPoly and TimeSeries are the package's boundary, storage and
 evaluation: what solve and eval_rhs return and what callers pass in.
 The arithmetic is on rows.  A row, one coefficient of a series in t, is
 a 1-D float64 array in TanhPoly's normal form (trim).  add_rows,
-sub_rows and dx_row here, numpy's negation, scaling and division, and
-the product kernel _backend.series_product are the package's only
-polynomial arithmetic; TimeSeries.mul and dx go through them too.
-dx_row is two slice ops with the bits of the dense loop that multiplies
-by 1 - w**2.  check_finite is the one test for inf and nan
-coefficients and holds the one rule for which of them an error names,
-and grid is the one zero-padding of rows into a 2-D array.
+sub_rows, dx_row and dx_rows here, numpy's negation, scaling and
+division, and the product kernel _backend.series_product are the
+package's only polynomial arithmetic; TimeSeries.mul and dx go through
+them too.  dx_row is two slice ops with the bits of the dense loop that
+multiplies by 1 - w**2, and dx_rows the same two ops on a grid of
+given rows, with the same bits row by row.  check_finite is the one
+test for inf and nan coefficients and holds the one rule for which of
+them an error names, and grid is the one zero-padding of rows into a
+2-D array.
 The tests replay these operations on plain Python lists and compare the
 bits.
 """
@@ -39,7 +41,8 @@ def trim(coeffs):
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0.0:
         n -= 1
-    return coeffs[:n]
+    # Most rows end in a nonzero: returning them as they are skips a view.
+    return coeffs if n == len(coeffs) else coeffs[:n]
 
 
 def add_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,16 +72,37 @@ def dx_row(row: np.ndarray) -> np.ndarray:
     or nan with numpy's warning; the evaluator and TimeSeries.dx call it
     quietly.
     """
-    dp = np.arange(1, len(row)) * row[1:]
-    out = np.zeros(len(row) + 1)
-    out[2:] = 0.0 - dp
-    out[: len(dp)] += dp
-    return trim(out)
+    return trim(_dx(row))
+
+
+def dx_rows(rows: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """[dx_row(row) for row in rows], bit for bit, from the two slice ops
+    on their grid.
+
+    A row shorter than the grid gets +0.0 where dx_row has no term:
+    dp[c] = c * 0.0 beyond its last power, and 0.0 - x is never -0.0,
+    so adding that +0.0 changes no column.  Each result is a trimmed
+    view of its row of one array."""
+    return [trim(d[: len(row) + 1]) for d, row in zip(_dx(grid(rows)), rows)]
+
+
+def _dx(rows: np.ndarray) -> np.ndarray:
+    """The x-derivative of one row or of each row of a 2-D array, one
+    column longer, untrimmed."""
+    n = rows.shape[-1]
+    dp = np.arange(1.0, n) * rows[..., 1:]
+    out = np.zeros((*rows.shape[:-1], n + 1))
+    np.subtract(0.0, dp, out=out[..., 2:])
+    out[..., : n - 1] += dp
+    return out
 
 
 def grid(rows: Sequence) -> np.ndarray:
     """rows (arrays or coefficient tuples) as the rows of one float64
-    array, each padded with +0.0 to the longest."""
+    array, each padded with +0.0 to the longest; no rows give a 0 x 0
+    array."""
+    if not rows:
+        return np.zeros((0, 0))
     lengths = np.array([len(r) for r in rows])
     out = np.zeros((len(rows), lengths.max()))
     out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)  # row by row
@@ -141,7 +165,7 @@ class TanhPoly:
 
     def row(self) -> np.ndarray:
         """The coefficients as a new float64 array: the evaluator's row."""
-        return np.array(self._coeffs)
+        return np.fromiter(self._coeffs, float, len(self._coeffs))
 
     def __call__(self, x: float) -> float:
         """Evaluate at w = tanh(x) by Horner's rule."""
@@ -221,7 +245,7 @@ class TimeSeries:
 
     @_backend.quiet
     def dx(self, k: int = 1) -> TimeSeries:
-        """The k-th derivative in x, row by row through dx_row.
+        """The k-th derivative in x, every row at once through dx_rows.
 
         Kept for the benchmark's series.dx span, which wraps it by name.
         A TaylorPdeError names the first inf or nan coefficient of the
@@ -231,7 +255,7 @@ class TimeSeries:
             raise ValueError("derivative order must be at least 1")
         rows = [p.row() for p in self._coeffs]
         for _ in range(k):
-            rows = [dx_row(r) for r in rows]
+            rows = dx_rows(rows)
         check_finite(("the derivative",), zip(rows))
         return TimeSeries(map(TanhPoly, rows))
 

@@ -280,6 +280,39 @@ def test_square_of_one_list_matches_dense_loop_bitwise(data):
     assert _bits(_backend.series_product(a, a, order)) == dense
 
 
+def _wide_rows(rng, order):
+    """order+1 rows 50 to 60 wide of quotients, whose products and sums
+    round, with a quarter signed zeros; every other row keeps only its
+    even or odd powers, as a tanh kink's rows do."""
+    rows = []
+    for i in range(order + 1):
+        n = int(rng.integers(50, 61))
+        row = rng.integers(-(10**6), 10**6, n) / rng.integers(1, 1000, n)
+        zero = rng.random(n) < 0.25
+        row[zero] = rng.choice([0.0, -0.0], n)[zero]
+        if i % 2:
+            row[i % 4 // 2 :: 2] = 0.0
+        rows.append(row.tolist())
+    return rows
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["two-lists", "square"])
+def test_wide_rows_match_dense_loop_bitwise(square):
+    # Rows about 60 wide make product rows about 120 wide and blocks of
+    # hundreds of terms, so numpy's vector loops run over many rows; the
+    # drawn rows above are at most 9 long.
+    rng = np.random.default_rng(24)
+    order = 24
+    a = _wide_rows(rng, order)
+    b = a if square else _wide_rows(rng, order)
+    dense = _bits(_Dense.series_product(a, b, order))
+    assert _bits(_backend.series_product(a, b, order)) == dense
+    state = _backend.ProductState()
+    tail = [_backend.series_product(a, b, k, start=k, nonzero=state)[0] for k in range(order + 1)]
+    assert (state.left is state.right) == square
+    assert _bits(tail) == dense
+
+
 def _count_gathers(monkeypatch):
     """The shapes of the blocks that _Factor gathers, appended as made."""
     shapes = []

@@ -69,6 +69,16 @@ class TestFit:
         with pytest.raises(DegenerateSystemError):
             pade_fit(coeffs, 1, 2)
 
+    def test_an_exactly_singular_system_has_infinite_condition(self):
+        # T = [[0, 1], [0, 0]] has smallest singular value 0.0, where
+        # np.linalg.cond gives inf; pade_fit refuses with that value and
+        # no division warning (warnings are errors in this suite).
+        coeffs = [1.0, 0.0, 0.0, 0.0]
+        assert np.linalg.cond(np.array([[0.0, 1.0], [0.0, 0.0]])) == math.inf
+        message = "^denominator system condition inf exceeds 1e\\+12; the \\[1/2\\] fit"
+        with pytest.raises(DegenerateSystemError, match=message):
+            pade_fit(coeffs, 1, 2)
+
     @pytest.mark.parametrize("index", [0, 7, 15])
     def test_refuses_a_used_coefficient_that_is_not_finite(self, index):
         # A nan used to reach numpy's SVD, which raised LinAlgError.

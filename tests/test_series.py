@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import test_solver as plain
 from taylorpde import ConfigError, TanhPoly, TaylorPdeError, TimeSeries, partial_sum
 from taylorpde import _backend
-from taylorpde.series import add_rows, check_finite, dx_row, sub_rows, trim
+from taylorpde.series import add_rows, check_finite, dx_row, dx_rows, sub_rows, trim
 from test_kernels import _bits
 
 
@@ -254,7 +254,7 @@ def test_row_functions_match_plain_lists_bitwise(a, b):
     assert _bits([sub_rows(ra, rb)]) == _bits([plain._add(a, plain._neg(b))])
     assert _bits([np.negative(ra)]) == _bits([plain._neg(a)])
     assert _bits([dx_row(ra)]) == _bits([plain._dx(a)])
-    # TimeSeries.dx takes its derivatives row by row through dx_row.
+    # TimeSeries.dx takes its derivatives through dx_rows.
     (twice,) = TimeSeries([a]).dx(2).coeffs
     assert _bits([twice.coeffs]) == _bits([plain._dx(plain._dx(a))])
 
@@ -280,6 +280,19 @@ def test_dx_row_keeps_the_bits_of_the_chain_rule_product(row):
     with np.errstate(all="ignore"):
         chain = trim(_backend.conv(np.arange(1, len(r)) * r[1:], [1.0, 0.0, -1.0]))
         assert _bits([dx_row(r)]) == _bits([chain])
+
+
+@given(st.lists(st.one_of(_signed_rows, _extreme_rows), min_size=1, max_size=6))
+def test_dx_rows_keeps_the_bits_of_dx_row(rows):
+    # The evaluator's extend and TimeSeries.dx take the derivative of
+    # given rows on one zero-padded grid: the padding of a short row
+    # must change none of its columns, the sign of every zero, inf and
+    # nan included, and every row keeps its own length.
+    rows = [np.array(r) for r in rows]
+    with np.errstate(all="ignore"):
+        want = _bits([dx_row(r) for r in rows])
+        assert _bits(dx_rows(rows)) == want
+    assert dx_rows([]) == []
 
 
 def _first_non_finite(subjects, orders, first):

@@ -709,29 +709,36 @@ def test_each_factor_row_is_scanned_once(name, monkeypatch):
     assert calls == [order] * factors
 
 
-# Derivative rows per order, each one dx_row call: one per distinct
-# (field, derivative order), each derivative taken from the one below it
-# (u_xxx from u_xx from u_x).
+# Derivative nodes: one per distinct (field, derivative order), each
+# derivative taken from the one below it (u_xxx from u_xx from u_x).
 _DX_PER_ORDER = {"kdv": 3, "mixed": 5, "shared": 3}
 
 
 @pytest.mark.parametrize("name", list(_DX_PER_ORDER))
 def test_each_derivative_row_is_one_dx(name, monkeypatch):
+    # A solve makes each derivative row with one dx_row call per node and
+    # order.  The residual is given every order at once, so each node
+    # makes its N rows in one dx_rows call, and no dx_row call.
     system, initial, order = _SYSTEMS[name]
-    dx_row = dsl.dx_row
+    dx_row, dx_rows = dsl.dx_row, dsl.dx_rows
     calls = []
 
     def recording(row):
-        calls.append(row)
+        calls.append("dx_row")
         return dx_row(row)
 
-    # The evaluator's derivative steps look dx_row up in dsl at each call.
+    def recording_rows(rows):
+        calls.append(len(rows))
+        return dx_rows(rows)
+
+    # The evaluator's derivative steps look both up in dsl at each call.
     monkeypatch.setattr(dsl, "dx_row", recording)
+    monkeypatch.setattr(dsl, "dx_rows", recording_rows)
     sol = solve(system, initial, order)
-    assert len(calls) == _DX_PER_ORDER[name] * order
+    assert calls == ["dx_row"] * _DX_PER_ORDER[name] * order
     calls.clear()
     residual(system, sol)
-    assert len(calls) == _DX_PER_ORDER[name] * order
+    assert calls == [order] * _DX_PER_ORDER[name]
 
 
 def test_long_left_deep_sum_solves(tmp_path, capsys):
