@@ -1,29 +1,23 @@
 """Convolution kernels: the hot loops of series arithmetic.
 
-Rows are 1-D float64 arrays, and both kernels are numpy.
+Rows are 1-D float64 arrays, and the kernel is numpy.
 series_product, the Cauchy product of two series, is the package's one
-product kernel: it makes row k from gathered (terms x width) blocks,
-each scaled and summed by column.  A product of two lists gathers at
-most two, one of terms from the left factor and one from the right; a
-square gathers one and sums it twice.  conv, the product of two rows,
-adds one scaled copy of its left factor per nonzero coefficient of its
-right factor; nothing in the package calls it (series.dx_row multiplies
+product loop: it makes row k from gathered (terms x width) blocks, each
+scaled and summed by column.  A product of two lists gathers at most
+two, one of terms from the left factor and one from the right; a square
+gathers one and sums it twice.  conv, the product of two rows, is its
+one-row case; nothing in the package calls it (series.dx_row multiplies
 by 1 - w**2 in two slice ops), but the tests and the benchmark's
 kernels.conv span use it by name.
 
-Both give, for finite inputs, bitwise the results of the dense loops
-(out[p+q] += a[p]*b[q] over every pair, each sum starting at +0.0 and
-adding terms in increasing i, then p):
+series_product gives, for finite inputs, bitwise the results of the
+dense loops (out[p+q] += a[p]*b[q] over every pair, each sum starting
+at +0.0 and adding terms in increasing i, then p):
 
-- conv adds a * b[j] into columns j.. for each nonzero b[j], j taken
-  from high to low, so every column adds its terms in increasing index
-  of a, the dense order.  It skips the terms of a zero b[j], which are
-  signed zeros and leave a sum unchanged: round-to-nearest addition
-  never turns the +0.0 start into -0.0.
-- series_product splits row k, the sum over i of a[i] * b[k-i], at the
-  m that makes its blocks shortest.  For i <= m it takes the left
-  factor's nonzero terms a[i][p] in (i, p) order and multiplies each by
-  the window of the zero-padded right row b[k-i] shifted by p.  For
+- It splits row k, the sum over i of a[i] * b[k-i], at the m that
+  makes its blocks shortest.  For i <= m it takes the left factor's
+  nonzero terms a[i][p] in (i, p) order and multiplies each by the
+  window of the zero-padded right row b[k-i] shifted by p.  For
   i > m it takes the right factor's nonzero terms b[r][q], r = k - i, in
   descending (r, q) order and multiplies each by the window of the
   zero-padded left row a[k-r] shifted by q.  Descending r is ascending i,
@@ -54,7 +48,7 @@ adding terms in increasing i, then p):
 
 A zero times inf or nan is nan, so the inputs must be finite;
 solver.solve checks every row it produces.  Finite inputs can still
-overflow: like Python floats, the kernels then give inf or nan without a
+overflow: like Python floats, the kernel then gives inf or nan without a
 warning (see quiet).
 """
 
@@ -109,21 +103,12 @@ def _nonzero(rows: np.ndarray):
     return index, rows[index]
 
 
-@quiet
 def conv(a, b):
-    """Full product of two finite coefficient rows: out[i+j] += a[i]*b[j].
-
-    a is scaled only by the nonzero b[j] (see the module docstring).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    la = len(a)
-    if la == 0 or len(b) == 0:
+    """Full product of two finite coefficient rows: out[i+j] += a[i]*b[j],
+    row 0 of the product of the one-row series [a] and [b]."""
+    if len(a) == 0 or len(b) == 0:
         return np.zeros(1)
-    out = np.zeros(la + len(b) - 1)
-    for j in b.nonzero()[0][::-1].tolist():
-        out[j : j + la] += a * b[j]
-    return out
+    return series_product([a], [b], 0)[0]
 
 
 def _windows(padded: np.ndarray, width: int) -> np.ndarray:

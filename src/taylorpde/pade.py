@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._backend import _windows
 from .errors import DegenerateSystemError, InsufficientDataError, PoleEvaluationError
 from .waves import partial_sum
 
@@ -102,13 +103,12 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
         # Degenerate rational: the truncated series itself.
         return PadeApproximant(tuple(c[: L + 1]), (1.0,), 1.0)
 
-    # T[m-1, s-1] = c[L + m - s] for m, s in 1..M, and +0.0 where that index
-    # is negative (it never reaches below -len(c), so numpy's wrap is masked).
+    # T[m, s] = c[L + m - s] for m, s in 0..M-1, and +0.0 where that index
+    # is negative: row m of T is the window at L + m of the coefficients
+    # after M - 1 zeros, read backwards, a read-only view.
     carr = np.asarray(c)
-    steps = np.arange(1, M + 1)
-    idx = L + np.subtract.outer(steps, steps)
-    T = carr[idx]
-    T[idx < 0] = 0.0
+    padded = np.concatenate((np.zeros(M - 1), carr[: L + M]))
+    T = _windows(padded[None, L:], M)[0, :, ::-1]
     rhs = -carr[L + 1 : L + M + 1]
     condition = float(np.linalg.cond(T))
     if not np.isfinite(condition) or condition > _COND_LIMIT:

@@ -1,6 +1,7 @@
-"""The convolution kernels skip zero factors or add signed-zero terms in
-numpy, so they are checked bitwise against the dense loops, kept here as
-the reference, on rows that mix 0.0 and -0.0 with finite floats.
+"""The product kernel takes its terms from the factor with fewer nonzero
+terms and adds signed-zero terms in numpy, so it, and conv, its one-row
+case, are checked bitwise against the dense loops, kept here as the
+reference, on rows that mix 0.0 and -0.0 with finite floats.
 Known-value checks run on both, so the reference is checked too."""
 
 import struct
@@ -133,8 +134,9 @@ def test_series_product_start_returns_the_tail_bitwise(data):
 
 
 def test_only_nonzero_pairs_are_multiplied():
-    # conv scales a only by the nonzero b[j]: the skipped product
-    # inf * b[0] would be nan, and the dense loops give [nan, inf, 1.0].
+    # conv takes its terms from b, the factor with fewer nonzero terms,
+    # and only its nonzero b[1]: the skipped product inf * b[0] would be
+    # nan, and the dense loops give [nan, inf, 1.0].
     inf = float("inf")
     assert list(_backend.conv([inf, 1.0], [0.0, 1.0])) == [0.0, inf, 1.0]
     a = [[1.0, 0.0, 2.0], [0.0, -0.0, 3.0, 0.0], [4.0]]

@@ -181,8 +181,8 @@ class TestKinkAcceleration:
 def _list_build_fit(c, L, M):
     """pade_fit with the Toeplitz matrix built cell by cell from a nested
     list comprehension and the numerator summed one term at a time; the
-    reference for the indexed build and the numerator's order of terms.
-    It refuses a fit with pade_fit's messages."""
+    reference for pade_fit's window-view build and the numerator's order
+    of terms.  It refuses a fit with pade_fit's messages."""
     c = [float(v) for v in c]
 
     def cc(idx):
@@ -253,9 +253,9 @@ _GRID_PAIRS = [(L, M) for L in range(25) for M in range(25) if L + M <= 40]
 
 
 def test_grid_fits_match_the_list_build_bitwise(riccati40):
-    # Over all 8,835 fits of the grid, the indexed Toeplitz build gives the
-    # list build's denominator, condition and value at t = 0.2, bit for
-    # bit, and a refused fit refuses with the same text.  The numerator is
+    # Over all 8,835 fits of the grid, the window-view Toeplitz build gives
+    # the list build's denominator, condition and value at t = 0.2, bit
+    # for bit, and a refused fit refuses with the same text.  The numerator is
     # compared too, though both sum it in the same scalar loop.
     fits = refused = 0
     for x in np.linspace(-3.5, 3.5, 15):
