@@ -20,6 +20,7 @@ as a flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -191,7 +192,10 @@ def _cmd_radius(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The taylorpde argument parser, built once per process: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="taylorpde",
         description=(

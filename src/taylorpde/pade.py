@@ -6,6 +6,13 @@ wherever the underlying function is analytic, because the denominator can
 imitate the poles that limited the series.  The denominator solves the
 usual Toeplitz linear system; its smallest-modulus root doubles as a pole
 estimate for the function being approximated.
+
+The fit is rank-revealing (Gonnet, Guttel & Trefethen, SIAM Rev. 55
+(2013) 101-117).  It rescales t so that the coefficients no longer decay
+or grow, reads the rank of the rescaled system from its singular values,
+and drops to the highest orders whose system has full rank.  So a fit
+whose data supports only a lower order returns that order and says so,
+instead of returning noise or refusing.
 """
 
 from __future__ import annotations
@@ -20,19 +27,32 @@ from ._backend import _windows
 from .errors import DegenerateSystemError, InsufficientDataError, PoleEvaluationError
 from .waves import partial_sum
 
-# Above this condition number the fitted denominator digits are noise.
-_COND_LIMIT = 1e12
+# Singular values of the rescaled system at or below this share of the
+# rescaled coefficients' 2-norm count as zero.
+_RANK_TOL = 1e-14
 # At or below this |denominator| an approximant refuses to evaluate.
 POLE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
 class PadeApproximant:
-    """num(t) / den(t) with den normalized so den[0] == 1."""
+    """num(t) / den(t) with den normalized so den[0] == 1.
+
+    `condition` is the ratio of the largest to the smallest singular
+    value of the rescaled denominator system the fit used (1.0 with no
+    denominator).  `requested` holds the orders asked for, and `orders`
+    the orders used, lower where the data supports no more; `requested`
+    defaults to `orders`.
+    """
 
     num: tuple[float, ...]
     den: tuple[float, ...]
     condition: float
+    requested: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.requested is None:
+            object.__setattr__(self, "requested", self.orders)
 
     @property
     def orders(self) -> tuple[int, int]:
@@ -74,15 +94,59 @@ class PadeApproximant:
         return out
 
 
-def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApproximant:
-    """Fit the [num_order/den_order] approximant to series coefficients.
+def _blocks(rows: np.ndarray, L: int, M: int) -> np.ndarray:
+    """The read-only views B[r, m, k] = rows[r, L + 1 + m - k] for m < M
+    and k <= M, +0.0 where that index is negative: row m of B[r] is the
+    window at L + 1 + m of rows[r] after M zeros, read backwards."""
+    padded = np.concatenate((np.zeros((len(rows), M)), rows[:, : L + M + 1]), axis=1)
+    return _windows(padded, M + 1)[:, L + 1 :, ::-1]
 
-    Needs num_order + den_order + 1 coefficients.  The denominator comes
-    from the Toeplitz system that cancels series orders num_order+1 ..
-    num_order+den_order; a singular or ill-conditioned system (condition
-    number above 1e12) raises DegenerateSystemError rather than returning
-    digits the data cannot support, and so does an inf or nan among the
-    coefficients it uses.
+
+def _rescaled(c: list[float]) -> list[float]:
+    """c[j] * r**j, divided by the largest of them in modulus.
+
+    log r is minus the slope of the least-squares line through log|c[j]|
+    over the later half of c, zeros skipped, and 0 when fewer than two
+    points remain; so r is the rate at which the coefficients decay, and
+    the rescaled ones neither decay nor grow.  The terms are formed from
+    logarithms, so no power of r overflows; zeros stay zero.  Plain
+    float loops: at these lengths they beat numpy calls.
+    """
+    logs = [math.log(abs(v)) if v else -math.inf for v in c]
+    tail = [j for j in range(len(c) // 2, len(c)) if c[j]]
+    log_r = 0.0
+    if len(tail) >= 2:
+        mean = sum(tail) / len(tail)
+        cross = spread = 0.0
+        for j in tail:
+            cross += (j - mean) * logs[j]
+            spread += (j - mean) ** 2
+        log_r = -cross / spread
+    exponents = [y + j * log_r for j, y in enumerate(logs)]
+    top = max(exponents)
+    if top == -math.inf:
+        return c
+    return [math.copysign(math.exp(e - top), v) for e, v in zip(exponents, c)]
+
+
+def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApproximant:
+    """Fit the [num_order/den_order] approximant to series coefficients,
+    or the highest lower orders that the coefficients support.
+
+    Needs num_order + den_order + 1 coefficients, all finite.  The orders
+    are chosen on rescaled coefficients s[j] = c[j] * r**j, with r the
+    decay rate of |c[j]| over the later half of the fitted ones: while
+    the M x (M+1) block s[L+1+m-k] has only rho < M singular values above
+    1e-14 times the 2-norm of s, (L, M) drops to (max(L - (M - rho), 0),
+    rho).  At full rank the denominator solves the unscaled M x M
+    Toeplitz system that cancels series orders L+1 .. L+M, by LU, and
+    the numerator follows from den[0] = 1.  The result's `requested`
+    holds the orders asked for, `orders` those used, and `condition` the
+    rescaled block's largest over smallest singular value.
+
+    Raises DegenerateSystemError for an inf or nan among the
+    coefficients used, and when the full-rank system is exactly singular,
+    that is when no approximant of those orders has den(0) != 0.
     """
     c = [float(v) for v in coeffs]
     L = num_order
@@ -99,25 +163,28 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
     if not all(map(math.isfinite, used)):
         k = next(k for k, v in enumerate(used) if not math.isfinite(v))
         raise DegenerateSystemError(f"[{L}/{M}] fit: coefficient {k} is {used[k]!r}")
+    requested = (L, M)
+    condition = 1.0
+    if M > 0:
+        # Row 0 holds the coefficients, row 1 their rescaled values.
+        rows = np.array((used, _rescaled(used)))
+        tol = _RANK_TOL * math.sqrt(rows[1] @ rows[1])
+        while M > 0:
+            blocks = _blocks(rows, L, M)
+            sigma = np.linalg.svd(blocks[1], compute_uv=False)
+            rank = int(np.count_nonzero(sigma > tol))
+            if rank == M:
+                condition = float(sigma[0] / sigma[-1])
+                break
+            L, M = max(L - (M - rank), 0), rank
     if M == 0:
         # Degenerate rational: the truncated series itself.
-        return PadeApproximant(tuple(c[: L + 1]), (1.0,), 1.0)
+        return PadeApproximant(tuple(c[: L + 1]), (1.0,), condition, requested)
 
-    # T[m, s] = c[L + m - s] for m, s in 0..M-1, and +0.0 where that index
-    # is negative: row m of T is the window at L + m of the coefficients
-    # after M - 1 zeros, read backwards, a read-only view.
-    carr = np.asarray(c)
-    padded = np.concatenate((np.zeros(M - 1), carr[: L + M]))
-    T = _windows(padded[None, L:], M)[0, :, ::-1]
-    rhs = -carr[L + 1 : L + M + 1]
-    condition = float(np.linalg.cond(T))
-    if not np.isfinite(condition) or condition > _COND_LIMIT:
-        raise DegenerateSystemError(
-            f"denominator system condition {condition:.3e} exceeds {_COND_LIMIT:.0e}; "
-            f"the [{L}/{M}] fit is degenerate for these coefficients"
-        )
+    # blocks[0][:, 1:] is the M x M system T[m, s] = c[L + m - s], and
+    # blocks[0][:, 0] is c[L + 1 + m], the orders that den must cancel.
     try:
-        q = np.linalg.solve(T, rhs)
+        q = np.linalg.solve(blocks[0, :, 1:], -blocks[0, :, 0])
     except np.linalg.LinAlgError:
         raise DegenerateSystemError(
             f"denominator system is singular; the [{L}/{M}] fit is degenerate"
@@ -133,4 +200,4 @@ def pade_fit(coeffs: Sequence[float], num_order: int, den_order: int) -> PadeApp
         for s in range(1, min(k, M) + 1):
             acc += den[s] * c[k - s]
         num.append(acc)
-    return PadeApproximant(tuple(num), den, condition)
+    return PadeApproximant(tuple(num), den, condition, requested)

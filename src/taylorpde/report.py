@@ -320,7 +320,9 @@ def divergence_figure(
     exact curve near the convergence radius, and higher order makes the
     departure more violent, not later.  With `pade` = (L, M), the [L/M]
     rational curve fitted to the same coefficients tracks the exact
-    solution past the radius.  `samples` points span [0, t_max].
+    solution past the radius; where the coefficients support only lower
+    orders, the fit uses them and a `pade_used` metadata pair names them.
+    `samples` points span [0, t_max].
     """
     fx, orders = _fixture_and_orders(fixture, orders)
     needed = orders[-1]
@@ -362,6 +364,8 @@ def divergence_figure(
     ]
     if pade is not None:
         meta.append(("pade", f"{L}/{M}"))
+        if approximant.orders != (L, M):
+            meta.append(("pade_used", "{}/{}".format(*approximant.orders)))
     return Table(tuple(columns), tuple(cells), tuple(meta))
 
 

@@ -243,6 +243,17 @@ class TestTableAndFigure:
         svg_text = (out / "divergence.svg").read_text()
         assert svg_text.startswith("<svg ")
 
+    def test_figure_names_the_orders_a_reduced_fit_used(self, tmp_path):
+        # At x = 0 the coefficients support no [7/16]: the fit drops to
+        # [5/14], and the metadata says so under the orders asked for.
+        out = tmp_path / "fig"
+        proc = run(
+            "figure", "--fixture", "riccati", "--x", "0", "--pade", "7,16", "--out", str(out)
+        )
+        assert proc.returncode == 0
+        csv_text = (out / "divergence.csv").read_text()
+        assert "# pade: 7/16\n# pade_used: 5/14\nt,exact,T5,T15,pade[7/16]\n" in csv_text
+
     def test_figure_determinism(self, tmp_path):
         args = ("figure", "--fixture", "riccati", "--x", "0", "--pade", "7,8", "--svg")
         run(*args, "--out", str(tmp_path / "a"))
