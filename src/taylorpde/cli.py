@@ -58,8 +58,8 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-# The most values a --t range may hold: each is a float in a tuple, and
-# a table has a row per value, x, order and field.
+# The most values a --t range or --samples may hold: each is a float in
+# a tuple, and a table has a row per value (and x, order and field).
 _MAX_T_VALUES = 10**6
 
 
@@ -159,6 +159,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    if args.samples > _MAX_T_VALUES:
+        raise ConfigError(f"--samples {args.samples} is more than the {_MAX_T_VALUES} allowed")
     pade = None
     if args.pade is not None:
         orders = _parse_ints(args.pade, "--pade")

@@ -58,11 +58,18 @@ class PadeApproximant:
     def orders(self) -> tuple[int, int]:
         return (len(self.num) - 1, len(self.den) - 1)
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """num(t) / den(t) at a float `t`, or at each element of a numpy
+        array `t`, by partial_sum, so an array's values have the float
+        call's bits.  Where |den(t)| <= POLE_FLOOR it raises
+        PoleEvaluationError, naming the first such t as a float.  On an
+        array, overflow warns unless the caller is quiet."""
         p = partial_sum(self.num, t)
         q = partial_sum(self.den, t)
-        if abs(q) <= POLE_FLOOR:
-            raise PoleEvaluationError(f"denominator vanishes at t = {t!r}")
+        pole = np.abs(q) <= POLE_FLOOR
+        if pole.any():
+            first = np.extract(pole, t)[0].item()
+            raise PoleEvaluationError(f"denominator vanishes at t = {first!r}")
         return p / q
 
     def poles(self) -> list[complex]:

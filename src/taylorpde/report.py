@@ -8,6 +8,13 @@ with repr-exact precision ('.17g'), and files use '\n' endings, so
 re-running a command reproduces identical bytes.  CSV metadata lives in
 leading '# key: value' comment lines and survives a parse round trip.
 
+The tables evaluate through the package's public evaluators, over whole
+arrays: waves.partial_sum over each series' rows in w = tanh(x) and
+then in t, and PadeApproximant's call over the t samples, so each cell
+has the bits of series.eval(x, t) or approximant(t).  error_table,
+divergence_figure and render_figure_svg are quiet (_backend.quiet), so
+overflow gives inf or nan silently, as with Python floats.
+
 to_csv writes column by column, and each column's text equals format_cell's
 cell by cell.  A float64 array or a column of exact floats is formatted
 once per distinct value, keyed on its 64-bit pattern: a key by value would
@@ -33,9 +40,10 @@ import numpy as np
 from . import fixtures
 from ._backend import quiet
 from .errors import ConfigError
-from .pade import POLE_FLOOR, PadeApproximant, pade_fit
+from .pade import pade_fit
 from .series import grid
 from .solver import solve
+from .waves import partial_sum
 
 _FLOAT_FMT = ".17g"
 _FLOAT_SPEC = "%" + _FLOAT_FMT
@@ -215,42 +223,15 @@ def _require_finite(name: str, values) -> None:
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-@quiet
-def _horner(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """partial_sum of each row of `coeffs` (..., n+1) at each of `ts`,
-    shape (..., len(ts)).
-
-    The same IEEE multiply and add per element as partial_sum's loop, from
-    the top coefficient down and starting from 0.0; numpy does not fuse
-    them, so the bits are the same.  Overflow gives inf or nan silently.
-    """
-    acc = np.zeros(coeffs.shape[:-1] + ts.shape)
-    for j in range(coeffs.shape[-1] - 1, -1, -1):
-        acc = acc * ts + coeffs[..., j, None]
-    return acc
+def _row_values(series, xs) -> np.ndarray:
+    """The (order, x) values of the rows of `series` at `xs`: partial_sum
+    in w = tanh(x) over rows padded with top zeros, which keep it at +0.0
+    until each row's own top, so the bits are TanhPoly.__call__'s."""
+    w = np.array([math.tanh(x) for x in xs])
+    return partial_sum(grid([p.coeffs for p in series.coeffs]).T[:, :, None], w)
 
 
 @quiet
-def _pade_column(approximant: PadeApproximant, ts: np.ndarray) -> np.ndarray:
-    """approximant(t) at each of `ts`: the scalar call's two Horner passes
-    and division per element, so the bits are its own.  At the first t
-    where the denominator vanishes, the scalar call raises its
-    PoleEvaluationError."""
-    q = _horner(np.array(approximant.den), ts)
-    poles = np.flatnonzero(np.abs(q) <= POLE_FLOOR)
-    if poles.size:
-        approximant(ts[poles[0]].item())
-    return _horner(np.array(approximant.num), ts) / q
-
-
-def _coefficients(series, xs) -> np.ndarray:
-    """The (x, power) matrix of `series` at `xs`: one Horner pass in
-    w = tanh(x) over coefficients padded with top zeros, which keep it at
-    +0.0 until each one's own top, so the bits are TanhPoly.__call__'s."""
-    padded = grid([p.coeffs for p in series.coeffs])
-    return _horner(padded, np.array([math.tanh(x) for x in xs])).T
-
-
 def error_table(fixture: str, orders, xs, ts) -> Table:
     """Absolute error of truncated series against the exact waves.
 
@@ -274,8 +255,8 @@ def error_table(fixture: str, orders, xs, ts) -> Table:
     t_row = np.array(ts, dtype=float)
     approx, exact, radius = [], [], []
     for series, wave in zip(solution.series, fx.waves):
-        coeffs = _coefficients(series, xs)
-        approx.append(np.stack([_horner(coeffs[:, : n + 1], t_row) for n in orders], axis=-1))
+        values = _row_values(series, xs)
+        approx.append(np.stack([partial_sum(values[: n + 1, :, None], t_row) for n in orders], -1))
         exact.append([[wave(x, t) for t in ts] for x in xs])
         radius.append([wave.convergence_radius(x) for x in xs])
     # Axes (field, x, t, order); each column broadcasts to the full grid.
@@ -283,9 +264,7 @@ def error_table(fixture: str, orders, xs, ts) -> Table:
     exact = np.array(exact)[..., None]
     radius = np.array(radius)[:, :, None, None]
     abs_error = np.abs(approx - exact)
-    with np.errstate(over="ignore"):
-        # A huge t over a radius below 1 is inf, silently, as in Python.
-        t_over_radius = t_row[:, None] / radius
+    t_over_radius = t_row[:, None] / radius  # inf where a huge t overflows
     # The field, x, t and order cells are the given objects themselves:
     # each value repeats once per cell of the later axes, and the whole
     # column once per cell of the earlier ones.
@@ -306,6 +285,7 @@ def error_table(fixture: str, orders, xs, ts) -> Table:
     return Table(columns, tuple(cells), meta)
 
 
+@quiet
 def divergence_figure(
     fixture: str,
     orders,
@@ -340,7 +320,7 @@ def divergence_figure(
     series = solve(fx.system, fx.initial, needed).series[0]
     wave = fx.waves[0]
     radius = wave.convergence_radius(x)
-    coeff_row = _coefficients(series, (x,))[0]
+    coeff_row = _row_values(series, (x,))[:, 0]
 
     columns = ["t", "exact"] + [f"T{n}" for n in orders]
     approximant = None
@@ -351,9 +331,9 @@ def divergence_figure(
     ts = tuple(t_max * i / (samples - 1) for i in range(samples))
     t_row = np.array(ts)
     cells = [ts, tuple(wave(x, t) for t in ts)]
-    cells.extend(tuple(_horner(coeff_row[: n + 1], t_row).tolist()) for n in orders)
+    cells.extend(tuple(partial_sum(coeff_row[: n + 1], t_row).tolist()) for n in orders)
     if approximant is not None:
-        cells.append(tuple(_pade_column(approximant, t_row).tolist()))
+        cells.append(tuple(approximant(t_row).tolist()))
 
     meta = [
         ("fixture", fx.name),
@@ -373,6 +353,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _DASHES = ("6 3", "2 2", "8 2 2 2", "4 4", "1 3", "10 3")
 
 
+@quiet
 def render_figure_svg(table: Table) -> str:
     """Render a divergence table as a standalone SVG document.
 
@@ -468,23 +449,22 @@ def render_figure_svg(table: Table) -> str:
     # Curves are mapped as whole arrays, quietly, as Python floats overflow.
     # Each sample's x coordinate is formatted once, for every curve; each
     # run of two or more points inside the band is one polyline.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_texts = _formatted("%.2f,", sx(np.asarray(ts, dtype=float)).tolist())
-        for values, (stroke, dash_attr) in zip(table.cells[1:], styles):
-            v = np.asarray(values, dtype=float)
-            py = sy(v)
-            inside = (y_lo <= v) & (v <= y_hi)
-            # Where the mask changes, with False beyond both ends: each
-            # in-band run's start, then its stop.
-            edges = np.flatnonzero(np.diff(inside, prepend=False, append=False)).tolist()
-            for start, stop in zip(edges[::2], edges[1::2]):
-                if stop - start > 1:
-                    y_texts = _formatted("%.2f", py[start:stop].tolist())
-                    points = " ".join(map(str.__add__, x_texts[start:stop], y_texts))
-                    parts.append(
-                        f'<polyline points="{points}" fill="none" '
-                        f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
-                    )
+    x_texts = _formatted("%.2f,", sx(np.asarray(ts, dtype=float)).tolist())
+    for values, (stroke, dash_attr) in zip(table.cells[1:], styles):
+        v = np.asarray(values, dtype=float)
+        py = sy(v)
+        inside = (y_lo <= v) & (v <= y_hi)
+        # Where the mask changes, with False beyond both ends: each
+        # in-band run's start, then its stop.
+        edges = np.flatnonzero(np.diff(inside, prepend=False, append=False)).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            if stop - start > 1:
+                y_texts = _formatted("%.2f", py[start:stop].tolist())
+                points = " ".join(map(str.__add__, x_texts[start:stop], y_texts))
+                parts.append(
+                    f'<polyline points="{points}" fill="none" '
+                    f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>'
+                )
 
     # Legend, top left inside the frame.
     lx, ly = left + 12.0, top + 12.0

@@ -84,12 +84,19 @@ def builtin_waves() -> tuple[TravelingWave, TravelingWave, TravelingWave]:
     )
 
 
-def partial_sum(coeffs: Sequence[float], t: float) -> float:
-    """Evaluate a truncated scalar series at t by Horner's rule.
+def partial_sum(coeffs: Sequence[float], t):
+    """Evaluate a truncated series at t by Horner's rule, from the top
+    coefficient down and starting from 0.0.
 
-    The package's one scalar Horner loop: TanhPoly and TimeSeries (in w and
-    in t) and PadeApproximant (numerator and denominator) all evaluate
-    through it, and the report's array Horner takes the same steps.
+    The package's one Horner loop: TanhPoly and TimeSeries (in w and in
+    t), PadeApproximant (numerator and denominator) and the report's
+    table and figure columns all evaluate through it.  `t` is a float or
+    a numpy array, and `coeffs` a sequence of floats or a numpy array
+    whose first axis is the power; an array gives the value at every
+    element, by numpy's broadcasting.  Each element takes the scalar
+    loop's IEEE multiply and add, which numpy does not fuse, so its bits
+    are the float call's.  On arrays, overflow warns unless the caller is
+    quiet (see _backend.quiet); on floats it gives inf or nan silently.
     """
     acc = 0.0
     for c in reversed(coeffs):

@@ -307,6 +307,15 @@ class TestExitCodes:
         if UNKNOWN_FIELD_FILE in args:
             assert "line 1, column 6: unknown field 'w'" in proc.stderr
 
+    @pytest.mark.parametrize("samples", ["1000001", "1000000000"])
+    def test_samples_past_the_cap_exit_2(self, samples, tmp_path):
+        # Refused before any solve: a billion samples would exhaust memory.
+        out = tmp_path / "out"
+        proc = run("figure", "--fixture", "riccati", "--samples", samples, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --samples {samples} is more than the 1000000 allowed\n"
+        assert not (out / "divergence.csv").exists()
+
     @pytest.mark.parametrize("field", ["nan", "inf"])
     def test_field_that_reads_as_a_number_exits_2(self, field, tmp_path):
         # The field column of --print-coeffs would read back as a float.

@@ -9,6 +9,7 @@ import pytest
 from taylorpde import (
     DegenerateSystemError,
     InsufficientDataError,
+    PadeApproximant,
     PoleEvaluationError,
     TravelingWave,
     pade_fit,
@@ -135,6 +136,23 @@ class TestEvaluation:
         assert ap.den == (1.0, -0.5)
         with pytest.raises(PoleEvaluationError):
             ap(2.0)
+
+    def test_an_array_gives_the_float_calls_bitwise(self):
+        ap = pade_fit(KINK.taylor(0.0, 15), 7, 8)
+        ts = [0.0, -0.0, 0.1, 0.25, 0.5, 1.0, 3.0, -2.0]
+        values = ap(np.array(ts))
+        assert [struct.pack("<d", v) for v in values.tolist()] == [
+            struct.pack("<d", ap(t)) for t in ts
+        ]
+
+    def test_an_array_raises_the_float_calls_error_at_its_first_pole(self):
+        # (1 - t)(1 - 2t) vanishes at t = 1 and t = 0.5; the array meets 1 first.
+        ap = PadeApproximant((1.0,), (1.0, -3.0, 2.0), 1.0)
+        message = "^denominator vanishes at t = 1.0$"
+        with pytest.raises(PoleEvaluationError, match=message):
+            ap(1.0)
+        with pytest.raises(PoleEvaluationError, match=message):
+            ap(np.array([0.25, 1.0, 0.75, 0.5]))
 
     def test_pole_location_exp(self):
         ap = pade_fit(EXP3, 1, 1)

@@ -1,7 +1,11 @@
 import math
+import struct
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taylorpde import (
     ConfigError,
@@ -11,8 +15,20 @@ from taylorpde import (
     empirical_radius,
     partial_sum,
 )
+from taylorpde._backend import quiet
 
 KINK = TravelingWave(offset=0.0, amplitude=1.0, wavenumber=1.0, rate=5.5)
+
+# Signed zeros, subnormals, values near overflow and the non-finite ones,
+# with a few ordinary values between them.
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, math.inf, -math.inf, math.nan, 1.5, -0.5]
+)
+
+
+def _bits(value: float):
+    """The 64-bit pattern of `value`, or "nan" for any nan."""
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
 
 
 class TestEval:
@@ -69,6 +85,17 @@ class TestTaylor:
         err5 = abs(partial_sum(c[:6], t) - KINK(0.0, t))
         err15 = abs(partial_sum(c, t) - KINK(0.0, t))
         assert err15 < err5
+
+    @given(
+        st.lists(_EDGE_FLOATS, min_size=1, max_size=6),
+        st.lists(_EDGE_FLOATS, min_size=1, max_size=6),
+    )
+    def test_partial_sum_of_an_array_is_the_float_loop_bitwise(self, coeffs, ts):
+        # Each element takes the float loop's multiply and add, so its bits
+        # are the float call's; only a nan's bits may differ.
+        values = quiet(partial_sum)(coeffs, np.array(ts)).tolist()
+        expected = [partial_sum(coeffs, t) for t in ts]
+        assert list(map(_bits, values)) == list(map(_bits, expected))
 
     def test_partial_sum_outside_radius_degrades_with_order(self):
         t = 0.4  # outside R(0)
