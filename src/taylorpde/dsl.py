@@ -447,9 +447,10 @@ class RowEvaluator:
     every order that a caller already has, one list of rows per field,
     and runs each node once over all of them, operands first: a product
     makes all of its rows in one kernel call, whose factors take in their
-    new rows in one batch.  residual(), whose series are given, uses it.
-    Either way every row has the same bits, since a row of a node reads
-    only its operands' rows of the same and lower orders.
+    new rows in one batch.  residual() and eval_rhs(), whose series are
+    given, use it; solve() is the only caller of advance().  Either way
+    every row has the same bits, since a row of a node reads only its
+    operands' rows of the same and lower orders.
 
     Rows are 1-D float64 arrays in TanhPoly's normal form (series.trim)
     from kernel to kernel; TanhPoly values exist only at the boundary, in
@@ -497,9 +498,9 @@ class RowEvaluator:
     row 0 still goes through them.  Where the head operation is the
     identity bit for bit, x + -0.0, -0.0 + x and x - +0.0 (coupled's
     u - 1), the node holds x's own rows.  A node's rows can thus be the
-    very arrays of another node's, or of the state rows advance() was
-    given.  That is safe because no stored row is ever written in place:
-    every row function makes a new array.
+    very arrays of another node's, or of the state rows advance() or
+    extend() was given.  That is safe because no stored row is ever
+    written in place: every row function makes a new array.
 
     advance() and extend() raise a ConfigError when they are given a row
     count other than the field count.  The kernels match the dense loops
@@ -723,10 +724,12 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
     """Evaluate every right-hand side on a state vector of series.
 
     Each result is truncated at exactly `order` and reads state
-    coefficients 0..order only, one row per order through a RowEvaluator,
-    so every state series must carry at least order+1 of them.  A
-    TaylorPdeError names the order and field of the first inf or nan
-    coefficient, of the state or of a right-hand side, and the evaluator
+    coefficients 0..order only, so every state series must carry at least
+    order+1 of them.  The series are given, so one RowEvaluator.extend
+    call runs the evaluator node by node over all of those orders, as
+    residual() does.  A TaylorPdeError names the first inf or nan
+    coefficient: the state's rows are checked first, lowest order and
+    then field first, then the right-hand sides' rows.  The evaluator
     refuses a state whose length is not the field count.
     """
     if order < 0:
@@ -737,10 +740,6 @@ def eval_rhs(system: PdeSystem, state: Sequence[TimeSeries], order: int) -> tupl
                 f"field {field} has order {s.order}; evaluating to order {order} "
                 f"needs {order + 1} coefficients"
             )
-    evaluator = RowEvaluator(system)
-    subjects = [f"the right-hand side of field {f}" for f in system.fields]
-    rows = []
-    for j in range(order + 1):
-        rows.append(evaluator.advance([s.coeffs[j].row() for s in state]))
-        check_finite(subjects, [rows[j]], j)
-    return tuple(TimeSeries(map(TanhPoly, col)) for col in zip(*rows))
+    made = RowEvaluator(system).extend([[p.row() for p in s.coeffs[: order + 1]] for s in state])
+    check_finite([f"the right-hand side of field {f}" for f in system.fields], zip(*made))
+    return tuple(TimeSeries(map(TanhPoly, rows)) for rows in made)

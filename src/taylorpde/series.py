@@ -248,12 +248,14 @@ class TimeSeries:
         """The k-th derivative in x, every row at once through dx_rows.
 
         Kept for the benchmark's series.dx span, which wraps it by name.
-        A TaylorPdeError names the first inf or nan coefficient of the
-        derivative, which can overflow, order by order.
+        A TaylorPdeError names the first inf or nan coefficient, order by
+        order, of the series and then of the derivative, which can
+        overflow.
         """
         if k < 1:
             raise ValueError("derivative order must be at least 1")
         rows = [p.row() for p in self._coeffs]
+        check_finite(("the series",), zip(rows))
         for _ in range(k):
             rows = dx_rows(rows)
         check_finite(("the derivative",), zip(rows))

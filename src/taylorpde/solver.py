@@ -16,11 +16,13 @@ higher order reproduces the lower-order coefficients bitwise.
 residual() is given every row up front, so it goes node by node: it
 hands all the stored orders to the RowEvaluator at once (extend), each
 node makes its rows of every order in one step, operands first, and
-each product makes all of its rows in one kernel call.  The rows are
-the ones the order-by-order replay makes, bit for bit.  It compares
-every order of a field with the rows it regenerates: how far the series
-is from satisfying the system, exactly 0.0 on solve()'s own output for
-that system.
+each product makes all of its rows in one kernel call.  dsl.eval_rhs(),
+whose series are given too, takes the same schedule, so solve() is the
+only caller of advance(), the one place where row j + 1 depends on row
+j.  The rows are the ones the order-by-order replay makes, bit for bit.
+residual() compares every order of a field with the rows it
+regenerates: how far the series is from satisfying the system, exactly
+0.0 on solve()'s own output for that system.
 
 Rows, TanhPoly's role as the boundary and the bitwise replay tests: see
 series.  The product kernel's term order and zero skipping: see
@@ -28,10 +30,11 @@ _backend.  Constant folding: see dsl.RowEvaluator.
 
 RowEvaluator.advance() and extend() check every row they are given,
 solve() and residual() check the last row as well, and residual() and
-eval_rhs() check every row they make.  Each check is one
-series.check_finite call over rows order by order, which raises a
-TaylorPdeError on the first inf or nan, lowest order and then first
-field, instead of returning it as a number.  An overflow inside
+eval_rhs() check every row they make, after every row they were given:
+one error rule for every given series, TimeSeries.mul and dx included.
+Each check is one series.check_finite call over rows order by order,
+which raises a TaylorPdeError on the first inf or nan, lowest order and
+then first field, instead of returning it as a number.  An overflow inside
 a right-hand side reaches the new row unless a product skips it: a zero
 constant on the left always does, and the kernel does where the factor
 that supplies the terms, left or right, holds an exact zero; there the

@@ -44,10 +44,10 @@ def test_tracer_installs_on_a_solve_and_comes_off():
     assert {"solver.solve", "solver.residual", "dsl.eval_rhs", "kernels.series_product"} <= names
     # The per-layer counters see the kernel: coupled has 3 products of two
     # series, one (f - c)^2 per field (its products with a constant are
-    # row scales).  The solve and eval_rhs make one series_product call
-    # per product per order, 8 orders each; the residual is given every
-    # order at once and makes one call of 8 rows per product.  Its
+    # row scales).  The solve makes one series_product call per product
+    # per order, 8 orders; the residual and eval_rhs are given every
+    # order at once and make one call of 8 rows per product.  Its
     # multiply-adds are counted.
     products = [span for span in tracer.spans if span[0] == "kernels.series_product"]
-    assert len(products) == 3 * 8 + 3 + 3 * 8
+    assert len(products) == 3 * 8 + 3 + 3
     assert tracer.counts["kernels.madds"] > 0

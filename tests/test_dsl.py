@@ -256,14 +256,15 @@ class TestEvalRhs:
     @pytest.mark.parametrize(
         ("u", "message"),
         [
-            # u*u overflows at order 0, before the inf state row of order 1.
-            ([1e200, math.inf], "^order 0 of the right-hand side of field u is not finite: "),
+            # u*u overflows at order 0, but every state row is checked
+            # before any right-hand side: the inf state row of order 1.
+            ([1e200, math.inf], "^order 1 of field u is not finite: "),
             # The inf state row of order 0 comes before any right-hand side.
             ([math.inf, 1e200], "^order 0 of field u is not finite: "),
         ],
         ids=["right-hand-side", "state"],
     )
-    def test_checks_each_order_of_the_state_then_of_the_right_hand_sides(self, u, message):
+    def test_checks_the_state_before_the_right_hand_sides(self, u, message):
         sys = parse_system("u' = u*u")
         with pytest.raises(TaylorPdeError, match=message + "coefficient of w\\^0 is inf$") as err:
             eval_rhs(sys, [TimeSeries([[c] for c in u])], 1)

@@ -12,6 +12,16 @@ is the measured relative error.
 KdV, u' = -6*u*u_x - u_xxx, is checked against perfbench/oracle.py,
 loaded by path and only read: its rows come from an integer recurrence
 written from the equation, and its soliton is the closed form.
+
+The coupled mKdV system u' = -6*u*v*u_x - u_xxx, v' = -6*u*v*v_x - v_xxx,
+the class of the source paper, is solved from u = w, v = -w by
+u = tanh(x + 2t) = -v.  That claim checks exactly through eval_rhs, and
+the float rows are checked against the wave's own scalar recurrence in
+t, which shares no step with them.
+
+The coupled fixture's field z = 2 - tanh(x - 11t/2) shares riccati's g,
+so its exact truncation is 2 minus riccati's: error_table's reported
+error is checked against it.
 """
 
 import importlib.util
@@ -21,8 +31,8 @@ from pathlib import Path
 
 import pytest
 
-from taylorpde import FIXTURES, TanhPoly, solve
-from taylorpde.dsl import parse_system
+from taylorpde import FIXTURES, TanhPoly, TimeSeries, TravelingWave, error_table, residual, solve
+from taylorpde.dsl import eval_rhs, parse_system
 
 RICCATI = FIXTURES["riccati"]
 
@@ -99,6 +109,28 @@ def test_float_value_is_the_exact_truncation(x, order):
     assert abs((Fraction(value) - exact) / exact) <= 1e-12
 
 
+def _coupled_z_case():
+    """(reported abs_error, exact truncation's error) of the coupled table
+    row of field z at x = -9, t = 0.5, order 20.  z = 2 - tanh(x - 11t/2)
+    shares riccati's g, so its exact truncation is 2 minus riccati's."""
+    table = error_table("coupled", (20,), (-9.0,), (0.5,))
+    row = dict(zip(table.columns, next(r for r in table.rows if r[0] == "z")))
+    wave = FIXTURES["coupled"].waves[2]
+    return row["abs_error"], abs(float(2 - _exact_truncation(-9.0, 0.5, 20)) - wave(-9.0, 0.5))
+
+
+def test_the_exact_coupled_truncation_is_near_the_wave():
+    # Measured 1.64e-12.
+    assert _coupled_z_case()[1] <= 1e-11
+
+
+@pytest.mark.xfail(strict=True, reason="reported abs_error 1.74e-5, exact truncation's 1.64e-12")
+def test_the_coupled_table_reports_the_truncation_error():
+    # The float rows' roundoff swamps the truncation error (ROADMAP item 14).
+    reported, exact = _coupled_z_case()
+    assert abs(reported - exact) <= 0.1 * exact
+
+
 # Measured relative error of the float KdV value where it misses today,
 # at t = R(x)/4: the float rows lose every digit by order 30 (ROADMAP
 # item 3).
@@ -145,3 +177,58 @@ def test_float_kdv_value_is_the_exact_truncation(x, order):
     system = parse_system(oracle.KDV_SOURCE)
     value = solve(system, (TanhPoly(oracle.KDV_INITIAL),), order).series[0].eval(x, t)
     assert abs((value - exact) / exact) <= 1e-12
+
+
+MKDV = parse_system("u' = -6*u*v*u_x - u_xxx\nv' = -6*u*v*v_x - v_xxx")
+# u = tanh(x + 2t) and v = -tanh(x + 2t).
+MKDV_WAVES = (TravelingWave(0.0, 1.0, 1.0, -2.0), TravelingWave(0.0, -1.0, 1.0, -2.0))
+
+
+def test_the_mkdv_wave_checks_exactly():
+    # With w = tanh(x + 2t), u_t = 2(1 - w^2) = -v_t: the right-hand
+    # sides on u = w, v = -w are exactly the claimed time derivatives.
+    u, v = eval_rhs(MKDV, [TimeSeries([[0.0, 1.0]]), TimeSeries([[0.0, -1.0]])], 0)
+    assert u.coeffs[0].coeffs == (2.0, 0.0, -2.0)
+    assert v.coeffs[0].coeffs == (-2.0, 0.0, 2.0)
+
+
+def test_a_wrong_mkdv_claim_shows_its_defect():
+    # v = +w is no solution: both right-hand sides read
+    # (1 - w^2)(2 - 12 w^2), not the 2(1 - w^2) that u = v = tanh(x + 2t)
+    # would need.
+    u, v = eval_rhs(MKDV, [TimeSeries([[0.0, 1.0]]), TimeSeries([[0.0, 1.0]])], 0)
+    assert u.coeffs[0].coeffs == v.coeffs[0].coeffs == (2.0, 0.0, -14.0, 0.0, 12.0)
+
+
+# Through row 9 every float row is the wave's; row 13 has no correct
+# digit, with the measured relative error against the wave's coefficient.
+_MKDV_CASES = [pytest.param(x, range(10), id=f"{x:g}-rows-0-9") for x in (0.0, 1.0)] + [
+    pytest.param(
+        x,
+        (13,),
+        id=f"{x:g}-row-13",
+        marks=pytest.mark.xfail(strict=True, reason=f"relative error {e}"),
+    )
+    for x, e in ((0.0, "1.6"), (1.0, "1.7"))
+]
+
+
+@pytest.fixture(scope="module")
+def mkdv_solution():
+    return solve(MKDV, (TanhPoly([0.0, 1.0]), TanhPoly([0.0, -1.0])), 20)
+
+
+@pytest.mark.parametrize("x, rows", _MKDV_CASES)
+def test_float_mkdv_rows_are_the_wave(mkdv_solution, x, rows):
+    # Each float row at x against the t-coefficient of the wave at x
+    # (measured at most 2.2e-9 through row 9).
+    for series, wave in zip(mkdv_solution.series, MKDV_WAVES):
+        exact = wave.taylor(x, 20)
+        for j in rows:
+            assert abs(series.coeffs[j](x) - exact[j]) <= 1e-8 * max(1.0, abs(exact[j]))
+
+
+def test_residual_reads_zero_on_the_float_mkdv_solve(mkdv_solution):
+    # The float rows lose every digit by row 13, and the replay of their
+    # own operations still balances exactly.
+    assert residual(MKDV, mkdv_solution) == 0.0

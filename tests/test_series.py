@@ -219,6 +219,20 @@ class TestTimeSeries:
         with pytest.raises(TaylorPdeError, match=message):
             TimeSeries([[1.0], [0.0, 1e308, 1e308]]).dx()
 
+    @pytest.mark.parametrize(
+        ("rows", "where"),
+        [
+            # dx_rows would drop the inf head and return [1, 0, -1].
+            ([[math.inf, 1.0]], r"order 0 of the series is not finite: coefficient of w\^0 is inf"),
+            # A constant's derivative is 0.0 whatever it holds, nan too.
+            ([[1.0, 2.0], [math.nan]], r"order 1 of the series is not finite: coefficient of w\^0 is nan"),
+        ],
+        ids=["inf-head", "nan-constant"],
+    )
+    def test_dx_refuses_a_series_that_is_not_finite(self, rows, where):
+        with pytest.raises(TaylorPdeError, match=f"^{where}$"):
+            TimeSeries(rows).dx()
+
 
 _coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _coeff_lists = st.lists(_coeff, min_size=1, max_size=6)
